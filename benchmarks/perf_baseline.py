@@ -20,21 +20,14 @@ Measures, on fixed-seed workloads:
   certificate installed (:meth:`repro.core.tcpu.TCPU.trust`), so the
   per-instruction bounds checks are elided; the speedup over the
   uncertified warm-cache run is the verified fast path's measured win;
-- ``tpp_exec_batched`` — same-program TPP batches through the vectorized
-  batch engine (v4 addition);
-- ``tpp_exec_batched_write`` — the same batched steady state on a
-  *write-bearing* program (an additive SRAM counter update), so the
-  write-capable vector lane's accumulate class is what is measured;
-  ``vector_write_batches`` is exported to prove it engaged (v6
-  addition);
 - ``fleet_scale`` — the sharded fleet driver at 1 vs 4 shards on one
   fixed ring of regions: modeled-critical-path packets/s and flows/s,
   the speedup sharding buys, and a 0/1 bit-identical flag asserting the
-  determinism fingerprints matched (v5 addition);
-- ``tpp_exec_sketch`` — batched heavy-hitter sketch updates (count-min
-  ADD/STORE rows plus a CSTORE claim) through the write-capable vector
-  lane, the telemetry subsystem's steady-state ingest rate (v7
-  addition).
+  determinism fingerprints matched (v5 addition).
+
+v8 retired the three batched workloads of v4/v6/v7
+(``tpp_exec_batched``, ``tpp_exec_batched_write``, ``tpp_exec_sketch``)
+together with the numpy vector lanes they measured.
 
 ``tools/run_bench.py`` drives :func:`run_all` and emits
 ``BENCH_simcore.json`` so every future PR's perf delta is visible.  The
@@ -64,7 +57,7 @@ from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.timers import OneShotTimer
 
-SCHEMA = "simcore-bench/v7"
+SCHEMA = "simcore-bench/v8"
 DEFAULT_SEED = 20260806
 
 
@@ -254,14 +247,10 @@ class _FakePort:
 
 
 def _bench_mmu() -> MMU:
-    # batch_stable mirrors the switch's bindings: these statistics cannot
-    # change while a batch executes, which is what licenses the batched
-    # engine's vectorized lane (see repro.core.batch).
     mmu = MMU(name="bench")
-    mmu.bind_reader("Switch:SwitchID", lambda ctx: 7, batch_stable=True)
+    mmu.bind_reader("Switch:SwitchID", lambda ctx: 7)
     mmu.bind_reader("Queue:QueueSize",
-                    lambda ctx: ctx.queue.occupancy_bytes,
-                    batch_stable=True)
+                    lambda ctx: ctx.queue.occupancy_bytes)
     return mmu
 
 
@@ -440,262 +429,6 @@ def bench_tpp_exec_verified(n_executions: int = 50_000) -> Dict[str, Any]:
 _BATCH_SIZE = 32
 
 
-def bench_tpp_exec_batched(n_batches: int = 2_000) -> Dict[str, Any]:
-    """Batched steady state: 32 same-program TPPs per ``execute_batch``.
-
-    The workload models a switch draining a burst of identical probes:
-    32 pre-built sections resident in one :class:`~repro.core.batch.
-    BatchArena`, one shared execution context (the warm pipeline state,
-    same precedent as ``tpp_exec_cached``), and a verifier certificate
-    installed so the batch qualifies for the vectorized lane.  The
-    scalar control runs the ``tpp_exec`` loop (fresh section + context
-    per execution) on the same machine in the same process, so
-    ``speedup_vs_scalar`` is the acceptance ratio measured, not
-    inferred from a previous run.  ``vector_batches``/``batch_fallbacks``
-    are exported so a report can *prove* the fast lane engaged.
-    """
-    from repro.core.batch import BatchArena, HAVE_NUMPY
-    from repro.core.memory_map import MemoryMap
-    from repro.core.verifier import verify_program
-
-    mmu = _bench_mmu()
-    tcpu = TCPU(mmu)
-    scalar = TCPU(mmu)
-    program = assemble(_BENCH_SOURCE, hops=1)
-    result = verify_program(program, memory_map=MemoryMap.standard())
-    certificate = result.raise_on_error().certificate
-    if certificate is not None:
-        tcpu.trust(certificate)
-    sections = [program.build() for _ in range(_BATCH_SIZE)]
-    initial_hop_or_sp = sections[0].hop_or_sp
-    n_instructions = len(sections[0].instructions)
-    ctx = ExecutionContext(metadata=PacketMetadata(),
-                           egress_port=_FakePort(), time_ns=1000)
-    ctxs = [ctx] * _BATCH_SIZE
-    arena = BatchArena(sections) if HAVE_NUMPY else None
-
-    def drive() -> None:
-        for _ in range(n_batches):
-            for section in sections:
-                section.hop_or_sp = initial_hop_or_sp
-            tcpu.execute_batch(sections, ctxs, arena=arena)
-
-    drive()  # warm-up (compiles + plans the program)
-    _, elapsed = _timed(drive)
-    n_executions = n_batches * _BATCH_SIZE
-
-    scalar_n = max(1, n_executions // 8)
-
-    def drive_scalar() -> None:
-        for _ in range(scalar_n):
-            tpp = program.build()
-            scalar_ctx = ExecutionContext(metadata=PacketMetadata(),
-                                          egress_port=_FakePort(),
-                                          time_ns=1000)
-            scalar.execute(tpp, scalar_ctx)
-
-    drive_scalar()  # warm-up
-    _, scalar_elapsed = _timed(drive_scalar)
-
-    execs_per_sec = n_executions / elapsed
-    scalar_per_sec = scalar_n / scalar_elapsed
-    return {
-        "batch_size": _BATCH_SIZE,
-        "n_batches": n_batches,
-        "n_executions": n_executions,
-        "numpy_lane": HAVE_NUMPY,
-        "tpp_execs_per_sec": execs_per_sec,
-        "instructions_per_sec": execs_per_sec * n_instructions,
-        "scalar_execs_per_sec": scalar_per_sec,
-        "speedup_vs_scalar": execs_per_sec / scalar_per_sec,
-        "vector_batches": tcpu.vector_batches,
-        "batch_fallbacks": tcpu.batch_fallbacks,
-    }
-
-
-#: The write-bench program is the paper's canonical in-network counter:
-#: each packet adds its delta (packet word 0, seeded to 1) into one
-#: shared SRAM word and writes the running total back into its own
-#: packet memory — an additive read-modify-write chain, which the batch
-#: planner classifies as *accumulate* and vectorizes via prefix scan.
-_WRITE_BENCH_SOURCE = """
-    .mode absolute
-    .memory 1
-    .data 0 1
-    ADD [Packet:0], [Sram:Word7]
-    STORE [Sram:Word7], [Packet:0]
-"""
-
-
-def bench_tpp_exec_batched_write(n_batches: int = 2_000) -> Dict[str, Any]:
-    """Batched steady state on a write-bearing (accumulate-class) program.
-
-    Same harness shape as :func:`bench_tpp_exec_batched` — 32 resident
-    sections, shared context, verifier certificate installed — but the
-    program carries an additive SRAM read-modify-write, so the batch can
-    only vectorize through the write-capable lane (per-word prefix scan
-    plus epilogue commit).  Packet memory is re-seeded every batch: the
-    ADD leaves each packet holding its observed counter value, and the
-    next iteration's delta must be 1 again.  The scalar control rebuilds
-    the section and context per execution, as the per-packet pipeline
-    does, so ``speedup_vs_scalar`` is the acceptance ratio measured on
-    this machine.  ``vector_write_batches``/``batch_fallbacks`` prove
-    the write lane engaged rather than silently demoting.
-    """
-    from repro.core.batch import BatchArena, HAVE_NUMPY
-    from repro.core.memory_map import MemoryMap
-    from repro.core.verifier import verify_program
-
-    mmu = _bench_mmu()
-    tcpu = TCPU(mmu)
-    scalar = TCPU(mmu)
-    program = assemble(_WRITE_BENCH_SOURCE, hops=1)
-    result = verify_program(program, memory_map=MemoryMap.standard())
-    certificate = result.raise_on_error().certificate
-    if certificate is not None:
-        tcpu.trust(certificate)
-    sections = [program.build() for _ in range(_BATCH_SIZE)]
-    initial_memory = bytes(sections[0].memory)
-    initial_hop_or_sp = sections[0].hop_or_sp
-    n_instructions = len(sections[0].instructions)
-    ctx = ExecutionContext(metadata=PacketMetadata(),
-                           egress_port=_FakePort(), time_ns=1000)
-    ctxs = [ctx] * _BATCH_SIZE
-    arena = BatchArena(sections) if HAVE_NUMPY else None
-    # With an arena the sections' memories alias the matrix rows, so the
-    # per-batch re-seed (each packet's delta must be 1 again) is one
-    # broadcast; without numpy it is a per-section bytearray copy.
-    initial_matrix = arena.matrix.copy() if arena is not None else None
-
-    def drive() -> None:
-        for _ in range(n_batches):
-            for section in sections:
-                section.hop_or_sp = initial_hop_or_sp
-            if arena is not None:
-                arena.matrix[:] = initial_matrix
-            else:
-                for section in sections:
-                    section.memory[:] = initial_memory
-            tcpu.execute_batch(sections, ctxs, arena=arena)
-
-    drive()  # warm-up (compiles + plans the program)
-    _, elapsed = _timed(drive)
-    n_executions = n_batches * _BATCH_SIZE
-
-    scalar_n = max(1, n_executions // 8)
-
-    def drive_scalar() -> None:
-        for _ in range(scalar_n):
-            tpp = program.build()
-            scalar_ctx = ExecutionContext(metadata=PacketMetadata(),
-                                          egress_port=_FakePort(),
-                                          time_ns=1000)
-            scalar.execute(tpp, scalar_ctx)
-
-    drive_scalar()  # warm-up
-    _, scalar_elapsed = _timed(drive_scalar)
-
-    execs_per_sec = n_executions / elapsed
-    scalar_per_sec = scalar_n / scalar_elapsed
-    return {
-        "batch_size": _BATCH_SIZE,
-        "n_batches": n_batches,
-        "n_executions": n_executions,
-        "numpy_lane": HAVE_NUMPY,
-        "tpp_execs_per_sec": execs_per_sec,
-        "instructions_per_sec": execs_per_sec * n_instructions,
-        "scalar_execs_per_sec": scalar_per_sec,
-        "speedup_vs_scalar": execs_per_sec / scalar_per_sec,
-        "vector_write_batches": tcpu.vector_write_batches,
-        "batch_fallbacks": tcpu.batch_fallbacks,
-        "final_counter": mmu.peek_sram(7),
-    }
-
-
-def bench_tpp_exec_sketch(n_batches: int = 2_000) -> Dict[str, Any]:
-    """Batched heavy-hitter sketch updates through the vector lane.
-
-    The telemetry subsystem's steady-state ingest: 32 copies of one
-    flow's generated update TPP (two count-min ADD/STORE rows plus a
-    CSTORE candidate claim — accumulate + claim dataflow classes, both
-    vector-eligible) drained per ``execute_batch`` with the generator's
-    own certificate installed.  Same harness shape as
-    :func:`bench_tpp_exec_batched_write`: shared context, resident
-    sections in one arena, packet memory re-seeded per batch (the ADD
-    leaves each packet holding its observed counter value), and a
-    scalar control that rebuilds section + context per execution.
-    ``vector_write_batches``/``batch_fallbacks`` prove the write lane
-    carried the sketch instead of silently demoting.
-    """
-    from repro.core.batch import BatchArena, HAVE_NUMPY
-    from repro.telemetry import HeavyHitterLayout, build_heavy_hitter_update
-
-    mmu = _bench_mmu()
-    tcpu = TCPU(mmu)
-    scalar = TCPU(mmu)
-    layout = HeavyHitterLayout(base_word=256, width=8, depth=2, n_slots=4,
-                               name="bench-hh")
-    update = build_heavy_hitter_update(layout, key=42)
-    tcpu.trust(update.certificate)
-    sections = [update.build() for _ in range(_BATCH_SIZE)]
-    initial_memory = bytes(sections[0].memory)
-    initial_hop_or_sp = sections[0].hop_or_sp
-    n_instructions = len(sections[0].instructions)
-    ctx = ExecutionContext(metadata=PacketMetadata(),
-                           egress_port=_FakePort(), time_ns=1000)
-    ctxs = [ctx] * _BATCH_SIZE
-    arena = BatchArena(sections) if HAVE_NUMPY else None
-    initial_matrix = arena.matrix.copy() if arena is not None else None
-
-    def drive() -> None:
-        for _ in range(n_batches):
-            for section in sections:
-                section.hop_or_sp = initial_hop_or_sp
-            if arena is not None:
-                arena.matrix[:] = initial_matrix
-            else:
-                for section in sections:
-                    section.memory[:] = initial_memory
-            tcpu.execute_batch(sections, ctxs, arena=arena)
-
-    drive()  # warm-up (compiles + plans the program)
-    _, elapsed = _timed(drive)
-    n_executions = n_batches * _BATCH_SIZE
-
-    scalar_n = max(1, n_executions // 8)
-
-    def drive_scalar() -> None:
-        for _ in range(scalar_n):
-            tpp = update.build()
-            scalar_ctx = ExecutionContext(metadata=PacketMetadata(),
-                                          egress_port=_FakePort(),
-                                          time_ns=1000)
-            scalar.execute(tpp, scalar_ctx)
-
-    drive_scalar()  # warm-up
-    _, scalar_elapsed = _timed(drive_scalar)
-
-    execs_per_sec = n_executions / elapsed
-    scalar_per_sec = scalar_n / scalar_elapsed
-    counter_words = update.words[:layout.depth]
-    return {
-        "batch_size": _BATCH_SIZE,
-        "n_batches": n_batches,
-        "n_executions": n_executions,
-        "numpy_lane": HAVE_NUMPY,
-        "sketch_depth": layout.depth,
-        "sketch_width": layout.width,
-        "tpp_execs_per_sec": execs_per_sec,
-        "instructions_per_sec": execs_per_sec * n_instructions,
-        "scalar_execs_per_sec": scalar_per_sec,
-        "speedup_vs_scalar": execs_per_sec / scalar_per_sec,
-        "vector_write_batches": tcpu.vector_write_batches,
-        "batch_fallbacks": tcpu.batch_fallbacks,
-        "final_row0_counter": mmu.peek_sram(counter_words[0]),
-        "claimed_key": mmu.peek_sram(update.words[-1]),
-    }
-
-
 def bench_fleet_scale(probe_bursts: int = 3,
                       flows_per_probe: int = 250,
                       duration_ns: int = 2_000_000,
@@ -754,10 +487,6 @@ def run_all(quick: bool = False, seed: int = DEFAULT_SEED) -> Dict[str, Any]:
         "tpp_exec": bench_tpp_exec(50_000 // scale),
         "tpp_exec_cached": bench_tpp_exec_cached(50_000 // scale),
         "tpp_exec_verified": bench_tpp_exec_verified(50_000 // scale),
-        "tpp_exec_batched": bench_tpp_exec_batched(2_000 // scale),
-        "tpp_exec_batched_write": bench_tpp_exec_batched_write(
-            2_000 // scale),
-        "tpp_exec_sketch": bench_tpp_exec_sketch(2_000 // scale),
         "fleet_scale": bench_fleet_scale(
             probe_bursts=3 if quick else 10,
             flows_per_probe=250 if quick else 1_000,

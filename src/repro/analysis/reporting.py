@@ -103,12 +103,10 @@ def batch_report(switches: Iterable = ()) -> str:
 
     ``switches`` are :class:`repro.asic.switch.TPPSwitch` instances.
     Each row answers: how often the ingress drain found same-program
-    runs, how many TPPs rode them, how many went through the vectorized
-    lane versus the packet-at-a-time safe lane (and how many of the
-    vectorized ones engaged a write-capable lane), the mean batch
-    occupancy (TPPs per batch) — the amortization factor actually
-    achieved, as opposed to the one hoped for — and *why* the demoted
-    batches were demoted (``reason×count``, from
+    runs, how many TPPs rode them, the mean batch occupancy (TPPs per
+    batch) — the amortization factor actually achieved, as opposed to
+    the one hoped for — and why any batch fell back to a plain execute
+    loop (``reason×count``, from
     :attr:`repro.core.tcpu.TCPU.batch_demotions`).
     """
     rows = []
@@ -118,23 +116,18 @@ def batch_report(switches: Iterable = ()) -> str:
         total = sum(size * count for size, count in occupancy.items())
         batches = sum(occupancy.values())
         mean = (total / batches) if batches else 0.0
-        demotions = stats.get("batch_demotions", {})
         demoted = " ".join(
             f"{reason}×{count}"
-            for reason, count in sorted(demotions.items())) or "-"
+            for reason, count in sorted(stats["batch_demotions"].items())
+        ) or "-"
         rows.append([
-            switch.name,
-            "on" if stats["batch_enabled"] else "off",
-            stats["batches_executed"], stats["batched_tpps"],
-            stats["vector_batches"], stats["vector_tpps"],
-            stats.get("vector_write_batches", 0),
-            stats["batch_fallbacks"], f"{mean:.1f}", demoted,
+            switch.name, stats["batches_executed"], stats["batched_tpps"],
+            f"{mean:.1f}", demoted,
         ])
     if not rows:
         return "(nothing to report)"
     return format_table(
-        ["switch", "batching", "batches", "tpps", "vec-batches",
-         "vec-tpps", "wr-batches", "fallbacks", "mean-occ", "demoted"],
+        ["switch", "batches", "tpps", "mean-occ", "demoted"],
         rows, title="Batched execution")
 
 

@@ -52,9 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
 from repro.core.isa import HOP_RELATIVE_OPCODES, Instruction, Opcode
-from repro.core.memory_map import is_link_scratch, is_sram
 from repro.core.mmu import MMU
-from repro.core.racecheck import DATAFLOW_ACCUMULATE, analyze_sram_dataflow
 from repro.core.tpp import AddressingMode
 
 #: One compiled instruction: ``step(tpp, ctx, report) -> enabled`` with the
@@ -101,24 +99,16 @@ class CompiledEntry:
     ``memory_len``/``perhop_len_bytes`` exactly and whose hop/SP counter
     lies in ``[guard_lo, guard_hi]`` — the TCPU checks this per
     execution and otherwise runs ``steps``.
-
-    ``batch_plan`` (attached by the TCPU for certified programs) carries
-    the batch-shape facts :mod:`repro.core.batch` needs to decide per
-    batch whether the vectorized kernel may run; ``None`` means the
-    program was never analysed (no certificate) and batches of it always
-    take the safe packet-at-a-time lane.
     """
 
     __slots__ = ("steps", "verified_steps", "guard_lo", "guard_hi",
-                 "memory_len", "perhop_len_bytes", "has_cexec",
-                 "batch_plan")
+                 "memory_len", "perhop_len_bytes", "has_cexec")
 
     def __init__(self, steps: Tuple[Step, ...],
                  verified_steps: Optional[Tuple[Step, ...]] = None,
                  certificate: Any = None) -> None:
         self.steps = steps
         self.verified_steps = verified_steps
-        self.batch_plan: Optional[BatchPlan] = None
         if certificate is not None:
             self.guard_lo: int = certificate.guard_lo
             self.guard_hi: int = certificate.guard_hi
@@ -131,273 +121,6 @@ class CompiledEntry:
             self.memory_len = -1
             self.perhop_len_bytes = -1
             self.has_cexec = True
-
-
-#: Opcodes the vectorized batch kernel understands.  Everything here is
-#: free of MMU writes and of control flow: reorderable across packets of
-#: a batch without any observable difference.
-_VECTOR_OPCODES = frozenset((
-    Opcode.NOP, Opcode.PUSH, Opcode.LOAD, Opcode.ADD, Opcode.SUB,
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.MIN, Opcode.MAX,
-))
-
-#: Opcodes that write switch state through the MMU.
-_MMU_WRITE_OPCODES = frozenset((Opcode.POP, Opcode.STORE, Opcode.CSTORE))
-
-
-class BatchPlan:
-    """Batch-shape facts about one compiled program.
-
-    Built once per compilation (certified programs only) by
-    :func:`build_batch_plan` and attached to the program's
-    :class:`CompiledEntry`.  ``ops`` is the instruction list lowered to
-    the vectorized kernel's micro-ops (``None`` when any instruction is
-    outside the kernel's vocabulary):
-
-    - ``("nop",)``
-    - ``("push", reader)`` — effective address is the running SP
-    - ``("load", reader, hop_relative, offset_bytes)``
-    - ``("arith", opcode, reader, hop_relative, offset_bytes)``
-
-    Write-bearing instructions lower against the certificate's SRAM
-    dataflow classes (:func:`repro.core.racecheck.analyze_sram_dataflow`)
-    into the write-lane micro-ops:
-
-    - ``("push_acc", word)`` / ``("load_acc", word, hop_relative,
-      offset_bytes)`` / ``("add_acc", word, hop_relative, offset_bytes)``
-      — reads of an *accumulate* word, served from the kernel's
-      per-word partial-delta vector instead of the (stale during the
-      batch) MMU store
-    - ``("store_acc", word, hop_relative, offset_bytes, vaddr)`` /
-      ``("pop_acc", word, vaddr)`` — stores closing an additive chain
-    - ``("store_priv", word, hop_relative, offset_bytes, vaddr)`` /
-      ``("pop_priv", word, vaddr)`` — last-writer-wins scatters
-    - ``("cstore_claim", word, cond_offset_bytes, vaddr)`` — the
-      first-match-wins claim select
-
-    A certified program whose certificate carries a relationally-dead
-    suffix (:attr:`repro.core.verifier.VerifiedProgram.sram_relational`
-    with ``dead_suffix_at`` set — every instruction past that CEXEC is
-    provably unreachable for any in-guard execution) lowers its live
-    prefix only, with the fence itself as
-
-    - ``("cexec_dead", reader)`` — the per-packet register read of a
-      CEXEC that provably always disables (reproduces reader faults
-      bit-for-bit; the value is discarded)
-
-    and ``cexec_disabled_at`` records the fence index so the kernel
-    stamps ``executed``/``skipped``/``cexec_disabled_at`` exactly as the
-    scalar loop would.  This retires the ``"cexec"`` (and dead-write
-    ``"write_dataflow"``) demotions for programs whose only
-    non-vectorizable instructions sit behind a dead fence.
-
-    ``vectorizable`` additionally requires every read to be
-    *batch-stable* (:meth:`repro.core.mmu.MMU.reader_is_batch_stable`):
-    side-effect-free and unchanged by the TPP executions within one
-    batch, so instruction-major execution order is unobservable.
-    ``demote_reason`` names why the lowering refused (``"cexec"`` or
-    ``"write_dataflow"``) for the batch engine's per-reason demotion
-    counters; ``sram_words``/``acc_words``/``aff_slots`` carry the
-    write-lane kernel state the micro-ops reference.
-    """
-
-    __slots__ = ("ops", "vectorizable", "writes_mmu", "stable_reads",
-                 "uses_task_id", "touches_memory", "n_instructions",
-                 "demote_reason", "sram_words", "acc_words", "aff_slots",
-                 "cexec_disabled_at")
-
-    def __init__(self, ops: Optional[Tuple[Tuple[Any, ...], ...]],
-                 vectorizable: bool, writes_mmu: bool, stable_reads: bool,
-                 uses_task_id: bool, touches_memory: bool,
-                 n_instructions: int,
-                 demote_reason: Optional[str] = None,
-                 sram_words: Tuple[int, ...] = (),
-                 acc_words: Tuple[int, ...] = (),
-                 aff_slots: Tuple[Tuple[str, int, int], ...] = (),
-                 cexec_disabled_at: Optional[int] = None) -> None:
-        self.ops = ops
-        self.vectorizable = vectorizable
-        self.writes_mmu = writes_mmu
-        self.stable_reads = stable_reads
-        self.uses_task_id = uses_task_id
-        self.touches_memory = touches_memory
-        self.n_instructions = n_instructions
-        self.demote_reason = demote_reason
-        self.sram_words = sram_words
-        self.acc_words = acc_words
-        self.aff_slots = aff_slots
-        self.cexec_disabled_at = cexec_disabled_at
-
-
-def build_batch_plan(instructions: List[Instruction],
-                     mode: AddressingMode, word_size: int,
-                     mmu: MMU, certificate: Any = None) -> BatchPlan:
-    """Lower a program to the vectorized kernel's micro-ops (if possible).
-
-    Valid for the same lifetime as the compiled closures: a
-    ``layout_version`` bump (which can change which readers are
-    batch-stable) clears the program cache, and the plan is rebuilt with
-    the entry.
-
-    Write-bearing programs additionally need ``certificate`` — its
-    pinned ``sram_dataflow`` must match this lowering's own analysis
-    exactly (a stale or foreign certificate demotes instead of
-    mis-vectorizing), every write target must be a *batch-stable writer*
-    (:meth:`repro.core.mmu.MMU.writer_is_batch_stable`, i.e. scratch
-    SRAM), and every written word must classify as accumulate, claim or
-    private-scatter.
-    """
-    hop_mode = mode == AddressingMode.HOP
-    ops: List[Tuple[Any, ...]] = []
-    vector_ok = True
-    demote_reason: Optional[str] = None
-    stable = True
-    uses_task_id = False
-    touches_memory = False
-    # Relationally-dead suffix: instructions past the certificate's
-    # always-false CEXEC can never execute in-guard, so they cannot
-    # demote the plan — the live prefix lowers alone, with the fence
-    # itself as a ``cexec_dead`` register read.  Only taken when the
-    # prefix is write-free: a write-bearing prefix would need its
-    # dataflow classes re-derived over the truncated program, which the
-    # certificate does not pin.
-    relational = (getattr(certificate, "sram_relational", None)
-                  if certificate is not None else None)
-    dead_at = (relational.dead_suffix_at if relational is not None
-               else None)
-    cexec_disabled_at: Optional[int] = None
-    lowered = instructions
-    if (dead_at is not None and dead_at < len(instructions)
-            and instructions[dead_at].opcode == Opcode.CEXEC
-            and not any(i.opcode in _MMU_WRITE_OPCODES
-                        for i in instructions[:dead_at])):
-        fence = instructions[dead_at]
-        if not mmu.reader_is_batch_stable(fence.addr):
-            stable = False
-        if is_sram(fence.addr) or is_link_scratch(fence.addr):
-            uses_task_id = True
-        lowered = instructions[:dead_at]
-        cexec_disabled_at = dead_at
-    writes_mmu = any(i.opcode in _MMU_WRITE_OPCODES for i in lowered)
-    roles: Tuple[Any, ...] = (None,) * len(lowered)
-    acc_written: set = set()
-    analysis = None
-    if writes_mmu:
-        analysis = analyze_sram_dataflow(instructions, mode=mode,
-                                         word_size=word_size)
-        pinned = (getattr(certificate, "sram_dataflow", None)
-                  if certificate is not None else None)
-        if analysis.ok and pinned == analysis.classes:
-            roles = analysis.roles
-        else:
-            analysis = None
-    for j, instruction in enumerate(lowered):
-        opcode = instruction.opcode
-        role = roles[j]
-        if opcode not in _VECTOR_OPCODES and role is None:
-            # CEXEC, or a write whose dataflow class does not vectorize
-            # (mixed word, non-SRAM target, stale certificate).
-            vector_ok = False
-            if opcode == Opcode.CEXEC:
-                demote_reason = "cexec"
-            elif demote_reason is None:
-                demote_reason = "write_dataflow"
-            continue
-        if opcode == Opcode.NOP:
-            ops.append(("nop",))
-            continue
-        addr = instruction.addr
-        offset_bytes = instruction.offset * word_size
-        hop_relative = hop_mode and opcode in HOP_RELATIVE_OPCODES
-        if role is not None:
-            tag, sram_word = role
-            # Every write-lane op touches SRAM: protection resolves
-            # against the (uniform) task id, checked by the kernel.
-            uses_task_id = True
-            if (tag in ("store_acc", "store_priv", "cstore_claim")
-                    and not mmu.writer_is_batch_stable(addr)):
-                vector_ok = False
-                if demote_reason is None:
-                    demote_reason = "write_dataflow"
-                continue
-            if tag == "read_acc":
-                touches_memory = True
-                if opcode == Opcode.PUSH:
-                    ops.append(("push_acc", sram_word))
-                else:
-                    ops.append(("load_acc", sram_word, hop_relative,
-                                offset_bytes))
-            elif tag == "add_acc":
-                touches_memory = True
-                # Before the word's first store the kernel's delta
-                # vector is identically zero, and the matrix column
-                # holds values *relative* to the entry value — adding
-                # zero is a no-op, so the op is elided (the slot still
-                # gets its entry-vector fixup from ``aff_slots``).
-                if sram_word in acc_written:
-                    ops.append(("add_acc", sram_word, hop_relative,
-                                offset_bytes))
-            elif tag == "store_acc":
-                acc_written.add(sram_word)
-                if opcode == Opcode.POP:
-                    ops.append(("pop_acc", sram_word, addr))
-                else:
-                    ops.append(("store_acc", sram_word, hop_relative,
-                                offset_bytes, addr))
-            elif tag == "store_priv":
-                if opcode == Opcode.POP:
-                    ops.append(("pop_priv", sram_word, addr))
-                else:
-                    ops.append(("store_priv", sram_word, hop_relative,
-                                offset_bytes, addr))
-            else:  # cstore_claim: writes the old value over its cond word
-                touches_memory = True
-                ops.append(("cstore_claim", sram_word, offset_bytes,
-                            addr))
-            continue
-        if not mmu.reader_is_batch_stable(addr):
-            stable = False
-        if is_sram(addr) or is_link_scratch(addr):
-            # SRAM protection domains resolve against ``ctx.task_id``,
-            # so the kernel must stamp it per packet before reading.
-            uses_task_id = True
-        reader = mmu.reader_for(addr)
-        touches_memory = True
-        if opcode == Opcode.PUSH:
-            ops.append(("push", reader))
-        elif opcode == Opcode.LOAD:
-            ops.append(("load", reader, hop_relative, offset_bytes))
-        else:
-            ops.append(("arith", opcode, reader, hop_relative,
-                        offset_bytes))
-    if cexec_disabled_at is not None and vector_ok:
-        # The fence executes (its register read can fault per packet)
-        # and then provably disables everything after it.
-        ops.append(("cexec_dead",
-                    mmu.reader_for(instructions[cexec_disabled_at].addr)))
-    sram_words: Tuple[int, ...] = ()
-    acc_words: Tuple[int, ...] = ()
-    aff_slots: Tuple[Tuple[str, int, int], ...] = ()
-    if analysis is not None and vector_ok:
-        sram_words = tuple(sorted(w for w, _ in analysis.classes))
-        acc_words = tuple(sorted(
-            w for w, cls in analysis.classes
-            if cls == DATAFLOW_ACCUMULATE))
-        aff_slots = analysis.aff_slots
-    return BatchPlan(
-        ops=tuple(ops) if vector_ok else None,
-        vectorizable=vector_ok and stable,
-        writes_mmu=writes_mmu,
-        stable_reads=stable,
-        uses_task_id=uses_task_id,
-        touches_memory=touches_memory,
-        n_instructions=len(instructions),
-        demote_reason=demote_reason,
-        sram_words=sram_words,
-        acc_words=acc_words,
-        aff_slots=aff_slots,
-        cexec_disabled_at=cexec_disabled_at,
-    )
 
 
 class ProgramCache:

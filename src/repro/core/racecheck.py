@@ -511,260 +511,6 @@ def _apply_relational_statics(
     return reads, writes, claims
 
 
-# --------------------------------------------------------------------- #
-# SRAM dataflow classification (feeds the write-capable batch lanes)
-# --------------------------------------------------------------------- #
-
-#: Dataflow classes of a written/claimed SRAM word, pinned on verifier
-#: certificates (``VerifiedProgram.sram_dataflow``) and consumed by the
-#: batched engine's write-capable vector lanes
-#: (:func:`repro.core.fastpath.build_batch_plan`).
-DATAFLOW_ACCUMULATE = "accumulate"  #: additive read-modify-write chains
-DATAFLOW_CLAIM = "claim"            #: CSTORE-only claim protocol word
-DATAFLOW_PRIVATE = "private"        #: written, never read back in-program
-DATAFLOW_MIXED = "mixed"            #: anything else: safe lane only
-
-_ARITH_OPCODES = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.MIN, Opcode.MAX,
-})
-
-
-@dataclass(frozen=True)
-class SRAMDataflow:
-    """Per-word dataflow classes plus the lowering hints they justify.
-
-    ``classes`` maps every SRAM word the program writes or claims to one
-    of the ``DATAFLOW_*`` strings (sorted by word; this exact tuple is
-    pinned on the certificate).  ``roles`` is aligned with the
-    instruction list: ``None`` for instructions the vector kernel lowers
-    normally, or a ``(tag, word)`` pair naming the write-lane micro-op
-    the instruction maps to (``read_acc``/``add_acc``/``store_acc``/
-    ``store_priv``/``cstore_claim``).  ``aff_slots`` lists the packet
-    memory slots that still hold ``entry_value + delta`` of an
-    accumulate word when the program ends, as ``(slot_kind,
-    offset_or_rel, word)`` — the kernel adds the per-packet entry vector
-    to those columns in its epilogue.  Roles and slots are only
-    meaningful when :attr:`ok` holds: one mixed word demotes the whole
-    program to the safe lane, so partially-stale roles are never
-    consumed.
-    """
-
-    classes: Tuple[Tuple[int, str], ...]
-    roles: Tuple[Optional[Tuple[str, int]], ...]
-    aff_slots: Tuple[Tuple[str, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        """Every written/claimed word got a vectorizable class."""
-        return all(cls != DATAFLOW_MIXED for _, cls in self.classes)
-
-
-def analyze_sram_dataflow(instructions: Sequence[Instruction], *,
-                          mode: Any,
-                          word_size: int) -> SRAMDataflow:
-    """Classify every written/claimed SRAM word of one program.
-
-    An abstract interpretation over packet-memory slots: each slot is
-    either *independent* of SRAM entry values, or *affine* in exactly
-    one written word ``w`` (value ``= entry(w) + per-packet constant``,
-    coefficient exactly one).  A word all of whose stores store an
-    affine-in-itself slot has the additive form ``S' = S + delta`` with
-    ``delta`` computable per packet — the prefix-scan lane reproduces
-    sequential order bit-for-bit.  CSTORE-only words are the paper's
-    §3.2.3 claim protocol; stores of independent values to words never
-    read back are last-writer-wins scatters.  Everything else —
-    cross-word dataflow, non-additive arithmetic on affine slots,
-    CEXEC anywhere (a conditional suffix makes per-packet dataflow
-    diverge), or packet slots addressed through more than one family
-    (absolute vs SP-relative vs hop-relative, whose runtime aliasing is
-    undecidable here) — classifies as mixed.
-    """
-    word = word_size
-    hop_mode = mode == AddressingMode.HOP
-    reads_p, writes_p, claims_p = collect_sram_accesses(instructions)
-    reads_map = _index_map(reads_p)
-    writes_map = _index_map(writes_p)
-    claims_map = _index_map(claims_p)
-    touched = set(writes_map) | set(claims_map)
-    n = len(instructions)
-    no_roles: Tuple[Optional[Tuple[str, int]], ...] = (None,) * n
-    if not touched:
-        return SRAMDataflow(classes=(), roles=no_roles, aff_slots=())
-
-    def all_mixed() -> SRAMDataflow:
-        return SRAMDataflow(
-            classes=tuple((w, DATAFLOW_MIXED) for w in sorted(touched)),
-            roles=no_roles, aff_slots=())
-
-    if any(i.opcode == Opcode.CEXEC for i in instructions):
-        return all_mixed()
-    families = set()
-    for instruction in instructions:
-        opcode = instruction.opcode
-        if opcode in (Opcode.PUSH, Opcode.POP):
-            families.add("sp")
-        elif opcode == Opcode.CSTORE:
-            families.add("abs")
-        elif opcode == Opcode.LOAD or opcode == Opcode.STORE \
-                or opcode in _ARITH_OPCODES:
-            families.add("hop" if hop_mode
-                         and opcode in HOP_RELATIVE_OPCODES else "abs")
-    if len(families) > 1:
-        # Slots of different families can alias at runtime (the SP/hop
-        # base is per-batch, not static); the affine bookkeeping below
-        # would be unsound, so every written word demotes.
-        return all_mixed()
-
-    mixed: Set[int] = set()
-    #: slot -> affine word (absent/None = independent)
-    slots: Dict[Tuple[str, int], Optional[int]] = {}
-    non_affine: Set[int] = set()   # words reset by an independent store
-    aff_stores: Dict[int, int] = {}
-    ind_stores: Dict[int, int] = {}
-    claim_count: Dict[int, int] = {}
-    roles: List[Optional[Tuple[str, int]]] = [None] * n
-    sp_rel = 0
-
-    def readable_as_affine(w: int) -> bool:
-        """A read of touched word ``w``: affine only while no claim and
-        no independent store has broken the additive chain."""
-        if w in claims_map or w in non_affine:
-            mixed.add(w)
-            return False
-        return True
-
-    def handle_store(w: int, state: Optional[int], j: int) -> None:
-        if w in claims_map:
-            mixed.add(w)
-            return
-        if state is None:
-            ind_stores[w] = ind_stores.get(w, 0) + 1
-            non_affine.add(w)
-            roles[j] = ("store_priv", w)
-        elif state == w:
-            if w in non_affine:
-                mixed.add(w)
-                return
-            aff_stores[w] = aff_stores.get(w, 0) + 1
-            roles[j] = ("store_acc", w)
-        else:
-            # Storing entry(v) + c into w: cross-word dataflow.
-            mixed.add(w)
-            mixed.add(state)
-
-    for j, instruction in enumerate(instructions):
-        opcode = instruction.opcode
-        addr = instruction.addr
-        tw: Optional[int] = None
-        if is_sram(addr):
-            sram_word = addr - SRAM_BASE
-            if sram_word in touched:
-                tw = sram_word
-        base = instruction.offset * word
-        if opcode == Opcode.NOP:
-            continue
-        if opcode == Opcode.PUSH:
-            slot = ("sp", sp_rel)
-            sp_rel += word
-            if tw is not None and readable_as_affine(tw):
-                slots[slot] = tw
-                roles[j] = ("read_acc", tw)
-            else:
-                slots[slot] = None
-            continue
-        if opcode == Opcode.POP:
-            sp_rel -= word
-            if tw is not None:
-                handle_store(tw, slots.get(("sp", sp_rel)), j)
-            continue
-        if opcode == Opcode.LOAD:
-            slot = ("hop", base) if hop_mode else ("abs", base)
-            if tw is not None and readable_as_affine(tw):
-                slots[slot] = tw
-                roles[j] = ("read_acc", tw)
-            else:
-                slots[slot] = None
-            continue
-        if opcode == Opcode.STORE:
-            slot = ("hop", base) if hop_mode else ("abs", base)
-            if tw is not None:
-                handle_store(tw, slots.get(slot), j)
-            continue
-        if opcode == Opcode.CSTORE:
-            cond = ("abs", base)
-            if tw is not None:
-                claim_count[tw] = claim_count.get(tw, 0) + 1
-                for operand in (cond, ("abs", base + word)):
-                    state = slots.get(operand)
-                    if state is not None:
-                        # Claim compare/value depends on another word's
-                        # entry value: cross-word dataflow.
-                        mixed.add(tw)
-                        mixed.add(state)
-                roles[j] = ("cstore_claim", tw)
-            # CSTORE writes the old switch value over its cond word:
-            # a concrete per-packet value either way.
-            slots[cond] = None
-            continue
-        if opcode in _ARITH_OPCODES:
-            hop_rel = hop_mode and opcode in HOP_RELATIVE_OPCODES
-            slot = ("hop", base) if hop_rel else ("abs", base)
-            state = slots.get(slot)
-            if tw is not None:
-                if (opcode == Opcode.ADD and state is None
-                        and readable_as_affine(tw)):
-                    slots[slot] = tw
-                    roles[j] = ("add_acc", tw)
-                else:
-                    # SUB/bitwise/minmax of the word (non-additive), or
-                    # folding it into an already-affine slot (coefficient
-                    # two or cross-word).
-                    mixed.add(tw)
-                    if state is not None:
-                        mixed.add(state)
-                    slots[slot] = None
-            elif state is not None and opcode not in (Opcode.ADD,
-                                                      Opcode.SUB):
-                # Non-additive arithmetic destroys the affine form of
-                # whatever this slot was tracking.
-                mixed.add(state)
-                slots[slot] = None
-            continue
-
-    classes: List[Tuple[int, str]] = []
-    for w in sorted(touched):
-        if w in mixed:
-            cls = DATAFLOW_MIXED
-        elif w in claims_map:
-            if (w in writes_map or w in reads_map
-                    or claim_count.get(w, 0) != 1):
-                # Plain writes or reads alongside the claim, or two
-                # claim instructions whose instruction-major order would
-                # diverge from packet-major chaining.
-                cls = DATAFLOW_MIXED
-            else:
-                cls = DATAFLOW_CLAIM
-        else:
-            n_aff = aff_stores.get(w, 0)
-            n_ind = ind_stores.get(w, 0)
-            if n_aff > 0 and n_ind == 0:
-                cls = DATAFLOW_ACCUMULATE
-            elif n_ind > 0 and n_aff == 0 and w not in reads_map:
-                cls = DATAFLOW_PRIVATE
-            else:
-                cls = DATAFLOW_MIXED
-        classes.append((w, cls))
-
-    class_of = dict(classes)
-    aff_slots = tuple(sorted(
-        (kind, offset, w)
-        for (kind, offset), w in slots.items()
-        if w is not None and class_of.get(w) == DATAFLOW_ACCUMULATE))
-    return SRAMDataflow(classes=tuple(classes), roles=tuple(roles),
-                        aff_slots=aff_slots)
-
-
 def summarize_instructions(instructions: Sequence[Instruction], *,
                            task_id: int = 0,
                            mode: Any = None,

@@ -22,14 +22,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
 from repro.core.fastpath import (
     DEFAULT_PROGRAM_CACHE_CAPACITY,
     CompiledEntry,
     ProgramCache,
-    build_batch_plan,
     compile_program,
 )
 from repro.core.isa import HOP_RELATIVE_OPCODES, Instruction, Opcode
@@ -61,18 +60,6 @@ def _fastpath_default() -> bool:
     return os.environ.get("REPRO_TPP_FASTPATH", "1") != "0"
 
 
-def batch_default() -> bool:
-    """Batched execution is on unless ``REPRO_TPP_BATCH=0``.
-
-    Mirrors :func:`_fastpath_default`: the opt-out exists so CI can run
-    the whole simulator packet-at-a-time (the reference arrival order)
-    and so a debugging session can rule batching out in one line.
-    """
-    return os.environ.get("REPRO_TPP_BATCH", "1") != "0"
-
-#: Memoized ``repro.core.batch.execute_batch`` (deferred import).
-_BATCH_IMPL = None
-
 #: Pipeline stages after the header parser has fetched the instructions.
 PIPELINE_STAGES = ("decode", "execute", "memory-read", "memory-write")
 PIPELINE_LATENCY_CYCLES = len(PIPELINE_STAGES)  # 4, as in the paper
@@ -103,7 +90,6 @@ class TCPU:
                  name: str = "tcpu", compile: Optional[bool] = None,
                  cache_capacity: int = DEFAULT_PROGRAM_CACHE_CAPACITY,
                  race_mode: str = "warn",
-                 batch: Optional[bool] = None,
                  fence_values: Optional[dict] = None) -> None:
         if race_mode not in RACE_MODES:
             raise ValueError(
@@ -152,37 +138,21 @@ class TCPU:
         self.certificates_refused = 0
         #: Certificates dropped by MMU layout-version sweeps.
         self.certificates_swept = 0
-        #: ``batch=False`` forces packet-at-a-time execution even through
-        #: :meth:`execute_batch`; ``None`` follows ``REPRO_TPP_BATCH``.
-        self.batch_enabled = (batch_default() if batch is None
-                              else bool(batch))
-        # -- Batched-execution accounting (repro.core.batch) --------------
+        # -- Batched-execution accounting (execute_batch) ----------------
         #: ``execute_batch`` calls that processed at least one section.
         self.batches_executed = 0
-        #: Sections that went through ``execute_batch`` (any lane).
+        #: Sections that went through ``execute_batch``.
         self.batched_tpps = 0
-        #: Batches / sections that ran the vectorized numpy kernel.
-        self.vector_batches = 0
-        self.vector_tpps = 0
-        #: The subset of vectorized batches / sections that engaged a
-        #: write-capable lane (accumulate / claim / private-scatter
-        #: SRAM dataflow classes).
-        self.vector_write_batches = 0
-        self.vector_write_tpps = 0
-        #: Vectorized attempts aborted mid-kernel (a reader faulted);
-        #: the batch re-ran packet-at-a-time on pristine memory.
-        self.batch_fallbacks = 0
         #: Histogram of batch sizes seen: ``{occupancy: count}``.
         self.batch_occupancy: dict = {}
-        #: Why batches took the safe lane: ``{reason: count}`` over
-        #: ``uncertified`` (no plan/certificate, or guard miss),
-        #: ``cexec``, ``write_dataflow`` (writes without a vectorizable
-        #: dataflow class), ``unstable_read``, ``non_uniform`` (mixed
-        #: flags/geometry/hop counter/task ids), ``sram_protection``
-        #: (a touched word is foreign to the batch's task),
-        #: ``fault_rewind`` (mid-kernel fault; also counted in
-        #: ``batch_fallbacks``) and ``no_numpy``.
+        #: Batches that fell back to a plain :meth:`execute` loop, by
+        #: reason: ``non_uniform`` (a section's program key differs from
+        #: the first one's) or ``too_long`` (the program exceeds
+        #: ``max_instructions``, so every section faults individually).
         self.batch_demotions: dict = {}
+        #: Always 0 (no vector lane); ``perfbench/worker.py`` reads them.
+        self.vector_tpps = 0
+        self.vector_write_tpps = 0
 
     # ------------------------------------------------------------------ #
     # Certificates
@@ -301,34 +271,67 @@ class TCPU:
                                    report)
         return self._run_interpreted(tpp, ctx, report)
 
-    def execute_batch(self, sections, ctxs, arena=None):
-        """Execute a group of same-program TPPs in one pass.
+    def execute_batch(self, sections: Sequence[TPPSection],
+                      ctxs: Sequence[ExecutionContext]
+                      ) -> List[ExecutionReport]:
+        """Execute a group of same-``program_key`` TPPs in one pass.
 
-        Semantically identical to calling :meth:`execute` once per
-        ``(section, ctx)`` pair in order — same reports, same packet
-        memory bytes, same fault stamping, same counters — but the
-        program-cache lookup and certificate guard are paid once per
-        batch, and eligible batches (verified certificate, no CEXEC, no
-        switch writes, batch-stable reads) run a vectorized numpy
-        kernel over an arena of packet memories.  See
-        :mod:`repro.core.batch` for the engine and the eligibility
-        rules.  ``arena`` optionally passes a resident
-        :class:`~repro.core.batch.BatchArena` the sections already live
-        in (the benchmark harness does this to amortize adoption).
+        Semantically identical to ``[self.execute(s, c) for s, c in
+        zip(sections, ctxs)]`` — same reports, packet memory, flags,
+        wire bytes, SRAM image and fault stamping — but the program-cache
+        lookup is paid once per batch.  A section whose program key
+        differs from the first one's, or a program over the instruction
+        limit, falls back to exactly that reference loop (counted in
+        :attr:`batch_demotions`).
         """
-        global _BATCH_IMPL
-        if _BATCH_IMPL is None:
-            # Deferred to break the tcpu <-> batch import cycle; memoized
-            # because the import-machinery lookup is measurable per batch.
-            from repro.core.batch import execute_batch
-            _BATCH_IMPL = execute_batch
-        return _BATCH_IMPL(self, sections, ctxs, arena)
+        n = len(sections)
+        if n != len(ctxs):
+            raise ValueError(
+                f"{n} sections but {len(ctxs)} execution contexts")
+        if n == 0:
+            return []
+        if not self.compile_enabled:
+            # REPRO_TPP_FASTPATH=0: no compiled entry to share.
+            return [self.execute(section, ctx)
+                    for section, ctx in zip(sections, ctxs)]
+
+        self.batches_executed += 1
+        self.batched_tpps += n
+        occupancy = self.batch_occupancy
+        occupancy[n] = occupancy.get(n, 0) + 1
+
+        first = sections[0]
+        key = first.program_key
+        demote: Optional[str] = None
+        if len(first.instructions) > self.max_instructions:
+            demote = "too_long"
+        else:
+            for section in sections:
+                if (section._program_key != key
+                        and section.program_key != key):
+                    demote = "non_uniform"
+                    break
+        if demote is not None:
+            demotions = self.batch_demotions
+            demotions[demote] = demotions.get(demote, 0) + 1
+            return [self.execute(section, ctx)
+                    for section, ctx in zip(sections, ctxs)]
+
+        entry = self._compiled_entry(first)
+        out: List[ExecutionReport] = []
+        for section, ctx in zip(sections, ctxs):
+            report = ExecutionReport()
+            if not section.flags & FLAG_DONE:
+                ctx.task_id = section.task_id
+                self._run_entry(section, ctx, entry, report)
+            out.append(report)
+        return out
 
     def _run_entry(self, tpp: TPPSection, ctx: ExecutionContext,
                    entry: CompiledEntry,
                    report: ExecutionReport) -> ExecutionReport:
         """Run one section through compiled closures (shared by
-        :meth:`execute` and the batch engine's safe lane; the caller has
+        :meth:`execute` and :meth:`execute_batch`; the caller has
         already done the done/limit prologue and set ``ctx.task_id``)."""
         steps = entry.steps
         # Per-execution certificate guard: the verified (elided)
@@ -448,9 +451,6 @@ class TCPU:
                     tpp.instructions, tpp.mode, tpp.word_size, mmu,
                     certificate=certificate)
                 entry = CompiledEntry(steps, verified_steps, certificate)
-                entry.batch_plan = build_batch_plan(
-                    tpp.instructions, tpp.mode, tpp.word_size, mmu,
-                    certificate=certificate)
             else:
                 entry = CompiledEntry(steps)
             self.cache.put(key, entry)

@@ -29,9 +29,7 @@ properties without executing a single instruction:
   (:mod:`repro.core.relational`) additionally tracks the values writes
   actually store, deciding fences the interval analysis must give up
   on, and names each switch-state write stranded behind a
-  relationally-false fence with the ``TPP012`` info code — the fact the
-  batched engine consumes to vectorize programs whose only
-  non-vectorizable write is provably unreachable;
+  relationally-false fence with the ``TPP012`` info code;
 - **per-hop memory-budget accounting**: bytes consumed per hop times the
   hop budget against the allocated packet memory (``TPP009``).
 
@@ -76,7 +74,6 @@ from repro.core.isa import (
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram, region_of
 from repro.core.racecheck import (
-    analyze_sram_dataflow,
     collect_constant_fences,
     collect_sram_accesses,
     written_byte_intervals,
@@ -220,17 +217,6 @@ class VerifiedProgram:
     #: minted before the fence model existed: the conservative
     #: may-access analysis applies to those unchanged.
     sram_fences: Tuple[Tuple[int, int, int, int], ...] = ()
-    #: Dataflow class of every written/claimed SRAM word as sorted
-    #: ``(word, class)`` pairs (:func:`repro.core.racecheck.
-    #: analyze_sram_dataflow`): ``accumulate`` (additive
-    #: read-modify-write chains, prefix-scan vectorizable), ``claim``
-    #: (CSTORE-only, first-match-wins), ``private`` (written but never
-    #: read back, last-writer-wins) or ``mixed`` (safe lane only).  The
-    #: batched engine refuses to vectorize writes unless the plan's own
-    #: analysis reproduces exactly this pinned classification.  Empty on
-    #: certificates minted before the write lanes existed — which
-    #: (conservatively) demotes their write-bearing programs.
-    sram_dataflow: Tuple[Tuple[int, str], ...] = ()
     #: Relational facts (:func:`repro.core.relational.analyze_relations`
     #: run with ``entry=None``, i.e. valid for *any* in-guard entry
     #: counter): per-write value descriptions, claim fire conditions,
@@ -260,7 +246,6 @@ class VerifiedProgram:
             "sram_writes": [list(p) for p in self.sram_writes],
             "sram_claims": [list(p) for p in self.sram_claims],
             "sram_fences": [list(f) for f in self.sram_fences],
-            "sram_dataflow": [list(p) for p in self.sram_dataflow],
             "sram_relational": (self.sram_relational.to_dict()
                                 if self.sram_relational else None),
         }
@@ -729,9 +714,8 @@ class _Checker:
         more fences.  A relationally-false fence yields the same
         ``TPP008`` (when the interval pass missed it) plus one
         ``TPP012`` info record per switch-state write stranded behind
-        it — the machine-readable fact
-        :func:`repro.core.fastpath.build_batch_plan` uses to vectorize
-        around a dead non-vectorizable write.
+        it — the machine-readable fact the fleet race analysis uses to
+        discount a dead write.
         """
         relational = self.relational
         if relational is None:
@@ -789,8 +773,6 @@ class _Checker:
         if max_hops is None:
             max_hops = capacity if capacity is not None else HOP_SCAN_LIMIT
         reads, writes, claims = collect_sram_accesses(self.instructions)
-        dataflow = analyze_sram_dataflow(
-            self.instructions, mode=self.mode, word_size=word)
         fences = collect_constant_fences(
             self.instructions, mode=self.mode, word_size=word,
             memory_len=memlen, perhop_len_bytes=self.perhop,
@@ -814,6 +796,5 @@ class _Checker:
             sram_writes=writes,
             sram_claims=claims,
             sram_fences=fences,
-            sram_dataflow=dataflow.classes,
             sram_relational=self.relational,
         )

@@ -5,16 +5,13 @@ flow key*: the end host evaluates the layout's hash family
 (:mod:`repro.telemetry.hashing`), bakes the resulting ``Sram:WordN``
 operands into the program text, assembles it, and runs it through
 :func:`repro.core.verifier.verify_program` so the certificate pins the
-per-word dataflow classes the batched TCPU relies on:
+program's SRAM read/write/claim sets for the fleet race analysis:
 
 - count-min rows are the canonical additive RMW idiom
-  (``ADD [Packet:r],[Sram:WordW]`` + ``STORE``) and classify
-  ``accumulate`` — eligible for the prefix-scan write vector lane;
-- heavy-hitter candidate claims are a single ``CSTORE`` per slot and
-  classify ``claim`` — the linearizable first-match-wins protocol;
-- distinct-count register updates are a MAX RMW and classify ``mixed``
-  — the batch engine demotes them to the safe lane
-  (``batch_demotions`` reason ``write_dataflow``), by design.
+  (``ADD [Packet:r],[Sram:WordW]`` + ``STORE``);
+- heavy-hitter candidate claims are a single ``CSTORE`` per slot — the
+  linearizable first-match-wins protocol;
+- distinct-count register updates are a MAX RMW.
 
 Because the key is baked into the bytes, updates for different keys are
 different programs (distinct ``program_key``); the TCPU batches per
@@ -47,11 +44,6 @@ class SketchUpdate:
     #: SRAM words the update writes, in touch order.
     words: Tuple[int, ...]
 
-    @property
-    def dataflow(self) -> Dict[int, str]:
-        """Certificate-pinned ``word -> class`` map for written words."""
-        return dict(self.certificate.sram_dataflow)
-
     def build(self, task_id: Optional[int] = None, seq: int = 0):
         """Fresh TPP section (new packet-memory copy) for one packet."""
         tid = self.certificate.task_id if task_id is None else task_id
@@ -80,9 +72,7 @@ def build_count_min_update(layout: CountMinLayout, key: int,
                            ) -> SketchUpdate:
     """Update program incrementing ``key``'s counter in every row.
 
-    ``2 * depth`` instructions, one additive RMW per row; every touched
-    word classifies ``accumulate`` so a batch of same-key updates rides
-    the write-capable vector lane.
+    ``2 * depth`` instructions, one additive RMW per row.
     """
     words = layout.words_for(key)
     lines = [f"; count-min update: key={key} delta={delta} "
@@ -138,9 +128,7 @@ def build_distinct_update(layout: DistinctCountLayout, key: int,
                           ) -> SketchUpdate:
     """HLL register update: ``reg = max(reg, rank(key))`` via MAX RMW.
 
-    MAX is not additive, so the word classifies ``mixed`` and the batch
-    engine demotes these updates to the safe scalar lane
-    (``write_dataflow``) — still bit-identical, just not vectorized.
+    Idempotent: any number of same-key updates leaves the rank.
     """
     bucket, rank = layout.bucket_and_rank(key)
     word = layout.word(bucket)

@@ -6,6 +6,10 @@ observable output relative to packet-at-a-time execution.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -35,12 +39,13 @@ def burst_probes(net, program, n_hosts=4, on_response=None):
         client.send(program, dst_mac=target.mac, on_response=on_response)
 
 
-#: batch accounting is (by design) absent when the engine is disabled
+#: batch accounting is (by design) absent when compilation is disabled
 #: via the environment; the correctness tests below still run.
 requires_batch = pytest.mark.skipif(
-    os.environ.get("REPRO_TPP_BATCH") == "0"
-    or os.environ.get("REPRO_TPP_FASTPATH") == "0",
-    reason="batched engine disabled via environment")
+    os.environ.get("REPRO_TPP_FASTPATH") == "0",
+    reason="compiled fast path disabled via environment")
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestDrainBatching:
@@ -76,11 +81,17 @@ class TestDrainBatching:
 
     def test_batching_off_produces_identical_responses(self):
         """Observable equivalence: responses, hop words, and counters
-        match with the ingress batcher enabled and disabled."""
+        match whether a run goes through ``execute_batch`` or through a
+        plain ``execute`` loop."""
         def run_once(batch):
             net = star_net()
             for switch in net.switches.values():
-                switch.tcpu.batch_enabled = batch
+                if not batch:
+                    tcpu = switch.tcpu
+                    tcpu.execute_batch = (
+                        lambda sections, ctxs, tcpu=tcpu:
+                        [tcpu.execute(s, c)
+                         for s, c in zip(sections, ctxs)])
             results = []
             program = assemble("""
                 PUSH [Switch:SwitchID]
@@ -118,16 +129,50 @@ class TestDrainBatching:
         assert len(results) == 3
         assert switch.tcpu.tpps_executed == 3
 
+    def test_batching_never_imports_numpy(self):
+        """A same-instant burst batches in a fresh interpreter without
+        pulling numpy in (its lazy import cost ~12 MB and ~0.1 s)."""
+        script = textwrap.dedent("""
+            import sys
+            from repro import units
+            from repro.core.assembler import assemble
+            from repro.endhost.client import TPPEndpoint
+            from repro.net.routing import install_shortest_path_routes
+            from repro.net.topology import TopologyBuilder
+
+            net = TopologyBuilder(rate_bps=units.GIGABITS_PER_SEC,
+                                  delay_ns=1_000).star(n_hosts=4)
+            install_shortest_path_routes(net)
+            target = net.host("h0")
+            TPPEndpoint(target)
+            program = assemble("PUSH [Queue:QueueSize]", hops=2)
+            for index in range(1, 4):
+                TPPEndpoint(net.host(f"h{index}")).send(
+                    program, dst_mac=target.mac)
+            net.run(until_seconds=0.01)
+            print(net.switch("sw0").tcpu.batched_tpps,
+                  "numpy" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        # Batch accounting needs the compiled path, whatever this
+        # process runs under.
+        env.pop("REPRO_TPP_FASTPATH", None)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        batched, numpy_loaded = out.stdout.split()
+        assert int(batched) >= 2
+        assert numpy_loaded == "False"
+
 
 class TestBatchStats:
     def test_fastpath_stats_exposes_batch_counters(self):
         net = star_net()
         stats = net.switch("sw0").fastpath_stats()
-        for key in ("batch_enabled", "batches_executed", "batched_tpps",
-                    "vector_batches", "vector_tpps", "batch_fallbacks",
-                    "batch_occupancy"):
+        for key in ("batches_executed", "batched_tpps", "batch_occupancy",
+                    "batch_demotions"):
             assert key in stats
         assert isinstance(stats["batch_occupancy"], dict)
+        assert not any(key.startswith("vector_") for key in stats)
 
     def test_batch_report_renders(self):
         net = star_net()

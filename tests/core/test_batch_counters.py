@@ -1,26 +1,22 @@
-"""Demotion observability: every safe-lane detour is counted, by reason.
+"""Batch accounting: every fallback to a plain execute loop is counted.
 
-The batched engine (:mod:`repro.core.batch`) increments
-``TCPU.batch_demotions[reason]`` exactly once per demoted batch, and the
-switch surfaces the dict via ``fastpath_stats()``/``batch_report()``.
-Each test here drives one demotion path end to end and asserts both the
-reason and that the batch still executed correctly through the safe
-lane.
+:meth:`TCPU.execute_batch` runs one compiled entry packet by packet.  It
+falls back to ``[tcpu.execute(s, c) ...]`` for exactly two reasons —
+``non_uniform`` (a section's program key differs from the first one's)
+and ``too_long`` (the program exceeds the instruction limit) — each
+counted once per batch in ``TCPU.batch_demotions``; the switch surfaces
+the dict via ``fastpath_stats()``/``batch_report()``.  Every other batch
+shape (uncertified, CEXEC, SRAM writes, guard misses) records no
+demotion and still executes exactly as the scalar loop would.
 """
-
-import pytest
 
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
-from repro.core.batch import HAVE_NUMPY
-from repro.core.exceptions import FaultCode, TCPUFault
+from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
 from repro.core.verifier import verify_program
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="vector lane needs numpy")
 
 
 class FakeQueue:
@@ -32,12 +28,11 @@ class FakePort:
     queue = FakeQueue()
 
 
-def make_mmu(stable=True):
+def make_mmu():
     mmu = MMU(name="counters")
-    mmu.bind_reader("Switch:SwitchID", lambda ctx: 9, batch_stable=stable)
+    mmu.bind_reader("Switch:SwitchID", lambda ctx: 9)
     mmu.bind_reader("Queue:QueueSize",
-                    lambda ctx: ctx.queue.occupancy_bytes,
-                    batch_stable=stable)
+                    lambda ctx: ctx.queue.occupancy_bytes)
     return mmu
 
 
@@ -49,8 +44,7 @@ def make_ctx(task_id=0):
 
 def certified_tcpu(source, mmu=None, max_instructions=5, trust=True):
     mmu = mmu if mmu is not None else make_mmu()
-    tcpu = TCPU(mmu, max_instructions=max_instructions,
-                compile=True, batch=True)
+    tcpu = TCPU(mmu, max_instructions=max_instructions, compile=True)
     program = assemble(source)
     if trust:
         result = verify_program(program,
@@ -73,87 +67,74 @@ def run_batch(tcpu, program, n=4, task_ids=None, ctxs=None, mutate=None):
 
 
 READ_ONLY = "PUSH [Switch:SwitchID]"
-WRITE_PRIVATE = "PUSH [Switch:SwitchID]\nPOP [Sram:Word0]"
 
 
 class TestDemotionReasons:
-    @needs_numpy
-    def test_vectorized_batch_records_no_demotion(self):
-        tcpu, program = certified_tcpu(READ_ONLY)
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {}
-        assert tcpu.vector_batches == 1
-
-    def test_no_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.core.batch.HAVE_NUMPY", False)
-        tcpu, program = certified_tcpu(READ_ONLY)
-        reports, _ = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"no_numpy": 1}
-        assert tcpu.vector_batches == 0
-        assert all(r.ok for r in reports)
-
-    @needs_numpy
     def test_uncertified_program(self):
         tcpu, program = certified_tcpu(READ_ONLY, trust=False)
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"uncertified": 1}
+        reports, sections = run_batch(tcpu, program)
+        assert tcpu.batch_demotions == {}
+        assert tcpu.batched_tpps == 4
+        assert all(r.ok for r in reports)
+        assert all(s.read_word(0) == 9 for s in sections)
 
-    @needs_numpy
     def test_uncertified_guard_miss(self):
-        # Certified, but the uniform SP sits outside the certificate
-        # guard: the batch must not trust the vector precondition.
+        # Certified, but the SP sits outside the certificate guard: the
+        # checked closures run and fault exactly like the scalar path.
         tcpu, program = certified_tcpu(READ_ONLY)
 
         def overflow_sp(section, index):
             section.hop_or_sp = len(section.memory)
 
         reports, _ = run_batch(tcpu, program, mutate=overflow_sp)
-        assert tcpu.batch_demotions == {"uncertified": 1}
+        assert tcpu.batch_demotions == {}
         assert all(r.fault == FaultCode.STACK_OVERFLOW for r in reports)
+        assert tcpu.verified_executions == 0
 
-    @needs_numpy
-    def test_oversized_program_counts_uncertified(self):
+    def test_oversized_program_counts_too_long(self):
         tcpu, program = certified_tcpu("\n".join(["NOP"] * 4),
                                        max_instructions=3, trust=False)
         reports, _ = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"uncertified": 1}
+        assert tcpu.batch_demotions == {"too_long": 1}
         assert all(r.fault == FaultCode.TOO_MANY_INSTRUCTIONS
                    for r in reports)
 
-    @needs_numpy
     def test_cexec(self):
         tcpu, program = certified_tcpu(
             "CEXEC [Switch:SwitchID], 0xFF, 9\nPUSH [Queue:QueueSize]")
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"cexec": 1}
+        reports, sections = run_batch(tcpu, program)
+        assert tcpu.batch_demotions == {}
+        assert all(r.executed == 2 and r.cexec_disabled_at is None
+                   for r in reports)
+        assert all(s.read_word(0) == 640 for s in sections)
 
-    @needs_numpy
     def test_write_dataflow(self):
-        # Non-additive read-modify-write: no dataflow class fits.
+        # A non-additive read-modify-write of one SRAM word: each packet
+        # sees its predecessors' store, in arrival order.
         tcpu, program = certified_tcpu(
             ".mode absolute\n.memory 1\n"
             "LOAD [Sram:Word0], [Packet:0]\n"
             "XOR [Packet:0], [Switch:SwitchID]\n"
             "STORE [Sram:Word0], [Packet:0]")
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"write_dataflow": 1}
+        _, sections = run_batch(tcpu, program)
+        assert tcpu.batch_demotions == {}
+        assert [s.read_word(0) for s in sections] == [9, 0, 9, 0]
+        assert tcpu.mmu.peek_sram(0) == 0
 
-    @needs_numpy
-    def test_link_scratch_write_counts_write_dataflow(self):
-        # Link scratch certifies, but the target register depends on
-        # each packet's egress port: not a batch-stable writer.
-        tcpu, program = certified_tcpu(
-            "PUSH [Switch:SwitchID]\nPOP [Link:Reg0]")
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"write_dataflow": 1}
-
-    @needs_numpy
     def test_unstable_read(self):
-        tcpu, program = certified_tcpu(READ_ONLY, mmu=make_mmu(stable=False))
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"unstable_read": 1}
+        # A reader whose value moves with every execution observes the
+        # sequential interleaving, one packet after the other.
+        mmu = make_mmu()
+        holder = {}
+        mmu.bind_reader("Switch:TPPsExecuted",
+                        lambda ctx: holder["tcpu"].tpps_executed)
+        tcpu, program = certified_tcpu("PUSH [Switch:TPPsExecuted]",
+                                       mmu=mmu)
+        holder["tcpu"] = tcpu
+        _, sections = run_batch(tcpu, program)
+        assert tcpu.batch_demotions == {}
+        assert [s.read_word(0) for s in sections] == [0, 1, 2, 3]
 
-    @needs_numpy
     def test_non_uniform_hop_counters(self):
         tcpu, program = certified_tcpu(READ_ONLY)
 
@@ -161,10 +142,11 @@ class TestDemotionReasons:
             if index == 1:
                 section.hop_or_sp += 4
 
-        run_batch(tcpu, program, mutate=advance_one)
-        assert tcpu.batch_demotions == {"non_uniform": 1}
+        _, sections = run_batch(tcpu, program, mutate=advance_one)
+        assert tcpu.batch_demotions == {}
+        assert sections[1].read_word(4) == 9
+        assert sections[0].read_word(0) == 9
 
-    @needs_numpy
     def test_mixed_program_keys_count_non_uniform(self):
         tcpu, _ = certified_tcpu(READ_ONLY, trust=False)
         a = assemble(READ_ONLY).build()
@@ -172,89 +154,13 @@ class TestDemotionReasons:
         tcpu.execute_batch([a, b], [make_ctx(), make_ctx()])
         assert tcpu.batch_demotions == {"non_uniform": 1}
 
-    @needs_numpy
-    def test_mixed_task_ids_with_writes_count_non_uniform(self):
-        tcpu, program = certified_tcpu(WRITE_PRIVATE)
-        run_batch(tcpu, program, task_ids=[1, 2, 1, 2])
-        assert tcpu.batch_demotions == {"non_uniform": 1}
-        assert tcpu.vector_write_batches == 0
-
-    @needs_numpy
-    def test_aliased_ctx_mixed_task_ids_count_non_uniform(self):
-        tcpu, program = certified_tcpu(
-            ".mode absolute\n.memory 1\nLOAD [Sram:Word0], [Packet:0]")
-        ctx = make_ctx()
-        run_batch(tcpu, program, task_ids=[1, 2, 1, 2],
-                  ctxs=[ctx, ctx, ctx, ctx])
-        assert tcpu.batch_demotions == {"non_uniform": 1}
-
-    @needs_numpy
-    def test_sram_protection_precheck(self):
-        mmu = make_mmu()
-        mmu.allocate_sram(0, 2, task_id=3)
-        mmu.enforce_sram_protection = True
-        tcpu, program = certified_tcpu(WRITE_PRIVATE, mmu=mmu)
-        reports, _ = run_batch(tcpu, program, task_ids=[5, 5, 5, 5])
-        assert tcpu.batch_demotions == {"sram_protection": 1}
-        assert all(r.fault == FaultCode.SRAM_PROTECTION for r in reports)
-        # SRAM commits never ran: the owner's words are untouched.
-        assert mmu.peek_sram(0) == 0
-
-    @needs_numpy
-    def test_fault_rewind_mid_kernel(self):
-        mmu = make_mmu()
-
-        def flaky(ctx):
-            if ctx.task_id == 2:
-                raise TCPUFault(FaultCode.BAD_ADDRESS, "unbound for 2")
-            return 11
-
-        mmu.bind_reader("Switch:ClockLo", flaky, batch_stable=True)
-        tcpu, program = certified_tcpu(
-            "PUSH [Switch:SwitchID]\nPUSH [Switch:ClockLo]", mmu=mmu)
-        reports, _ = run_batch(tcpu, program, task_ids=[1, 1, 2, 1])
-        assert tcpu.batch_demotions == {"fault_rewind": 1}
-        assert tcpu.batch_fallbacks == 1
-        assert [r.fault for r in reports] == [
-            FaultCode.NONE, FaultCode.NONE, FaultCode.BAD_ADDRESS,
-            FaultCode.NONE]
-
-    @needs_numpy
-    def test_fault_rewind_with_write_lane_leaves_sram_pristine(self):
-        # The write-bearing kernel faults on a later read: no SRAM
-        # commit may have happened by then (epilogue-only commits).
-        mmu = make_mmu()
-        mmu.poke_sram(0, 123)
-
-        def always_faults(ctx):
-            raise TCPUFault(FaultCode.BAD_ADDRESS, "unbound")
-
-        mmu.bind_reader("Switch:ClockLo", always_faults,
-                        batch_stable=True)
-        tcpu, program = certified_tcpu(
-            ".mode absolute\n.memory 2\n"
-            ".data 0 1\n"
-            "ADD [Packet:0], [Sram:Word0]\n"
-            "STORE [Sram:Word0], [Packet:0]\n"
-            "LOAD [Switch:ClockLo], [Packet:1]", mmu=mmu)
-        reports, _ = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"fault_rewind": 1}
-        assert tcpu.vector_write_batches == 0
-        # The kernel processed the accumulate micro-ops before the LOAD
-        # faulted, but commits are epilogue-only — the safe-lane replay
-        # starts from a pristine 123 and applies the scalar semantics:
-        # every packet bumps the counter (ADD and STORE precede the
-        # faulting LOAD in program order), then faults.
-        assert all(r.fault == FaultCode.BAD_ADDRESS for r in reports)
-        assert all(r.executed == 2 for r in reports)
-        assert mmu.peek_sram(0) == 123 + 4
-
-    @needs_numpy
     def test_reasons_accumulate_across_batches(self):
-        tcpu, program = certified_tcpu(READ_ONLY, trust=False)
+        tcpu, program = certified_tcpu("\n".join(["NOP"] * 4),
+                                       max_instructions=3, trust=False)
         for _ in range(3):
             run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"uncertified": 3}
+        assert tcpu.batch_demotions == {"too_long": 3}
+        assert tcpu.batches_executed == 3
 
 
 class TestCounterSurface:
@@ -267,80 +173,26 @@ class TestCounterSurface:
         net = builder.star(n_hosts=2)
         return net.switch("sw0")
 
-    def test_fastpath_stats_exposes_write_and_demotion_counters(self):
+    def test_fastpath_stats_exposes_demotion_counters(self):
         switch = self._switch()
         stats = switch.fastpath_stats()
-        assert stats["vector_write_batches"] == 0
-        assert stats["vector_write_tpps"] == 0
         assert stats["batch_demotions"] == {}
-        switch.tcpu.batch_demotions["cexec"] = 2
-        switch.tcpu.vector_write_batches = 1
+        assert not any(key.startswith("vector_") for key in stats)
+        switch.tcpu.batch_demotions["non_uniform"] = 2
         fresh = switch.fastpath_stats()
-        assert fresh["batch_demotions"] == {"cexec": 2}
-        assert fresh["vector_write_batches"] == 1
+        assert fresh["batch_demotions"] == {"non_uniform": 2}
         # The stats dict is a snapshot, not a live alias.
-        fresh["batch_demotions"]["cexec"] = 99
-        assert switch.tcpu.batch_demotions["cexec"] == 2
+        fresh["batch_demotions"]["non_uniform"] = 99
+        assert switch.tcpu.batch_demotions["non_uniform"] == 2
 
     def test_batch_report_renders_demotions(self):
         from repro.analysis.reporting import batch_report
 
         switch = self._switch()
         switch.tcpu.batch_demotions.update(
-            {"cexec": 2, "fault_rewind": 1})
-        switch.tcpu.vector_write_batches = 4
+            {"non_uniform": 2, "too_long": 1})
         text = batch_report([switch])
-        assert "wr-batches" in text
         assert "demoted" in text
-        assert "cexec×2" in text
-        assert "fault_rewind×1" in text
-
-
-DEAD_FENCE = (".memory 2\n"
-              "LOAD [Queue:QueueSize], [Packet:0]\n"
-              "CEXEC [Switch:SwitchID], 0x0F, 0xF0\n"
-              "STORE [Sram:Word0], [Packet:0]")
-
-
-class TestDeadFenceVectorization:
-    """A statically-false CEXEC no longer costs the vector lane: the
-    certificate's relational facts let the batch engine lower only the
-    live prefix and stamp the scalar CEXEC bookkeeping."""
-
-    @needs_numpy
-    def test_dead_fence_batch_vectorizes(self):
-        tcpu, program = certified_tcpu(DEAD_FENCE, max_instructions=8)
-        mmu = tcpu.mmu
-        mmu.poke_sram(0, 0xBEEF)
-        reports, sections = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {}
-        assert tcpu.vector_batches == 1
-        for report in reports:
-            assert report.executed == 2   # LOAD + the disabling CEXEC
-            assert report.skipped == 1    # the relationally-dead STORE
-            assert report.cexec_disabled_at == 1
-        assert mmu.peek_sram(0) == 0xBEEF  # the dead STORE never ran
-
-    @needs_numpy
-    def test_live_cexec_still_demotes(self):
-        tcpu, program = certified_tcpu(
-            ".memory 2\n"
-            "LOAD [Queue:QueueSize], [Packet:0]\n"
-            "CEXEC [Switch:SwitchID], 0x0F, 0x09\n"
-            "STORE [Sram:Word0], [Packet:0]", max_instructions=8)
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"cexec": 1}
-        assert tcpu.vector_batches == 0
-
-    @needs_numpy
-    def test_write_in_live_prefix_still_demotes(self):
-        # Dataflow classes are pinned over the whole program, so the
-        # prefix-only lowering is off the table once the prefix writes.
-        tcpu, program = certified_tcpu(
-            "PUSH [Switch:SwitchID]\n"
-            "POP [Sram:Word1]\n"
-            "CEXEC [Switch:SwitchID], 0x0F, 0xF0\n"
-            "PUSH [Queue:QueueSize]", max_instructions=8)
-        run_batch(tcpu, program)
-        assert tcpu.vector_batches == 0
-        assert "cexec" in tcpu.batch_demotions
+        assert "non_uniform×2" in text
+        assert "too_long×1" in text
+        assert "vec-" not in text

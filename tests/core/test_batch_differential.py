@@ -8,11 +8,10 @@ reports, section state (flags, hop/SP, memory bytes, wire encoding) and
 switch-side state (SRAM, link scratch).  Batch sizes 1, 2 and 32 are
 swept so the degenerate, pair and full-burst shapes all stay honest.
 
-Programs with a verifier certificate and only batch-stable reads go
-through the vectorized numpy lane (asserted explicitly below); writes,
-CEXEC, unstable reads, non-uniform batches and mid-kernel faults take
-the packet-at-a-time safe lane — the differential assertions are the
-same either way.
+The batch runs one shared compiled entry packet by packet (verified
+closures when a certificate's guard holds, checked ones otherwise), so
+certified and uncertified programs, CEXEC, SRAM writes and mid-batch
+faults all go through the same loop.
 """
 
 import random
@@ -21,11 +20,11 @@ import pytest
 
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
-from repro.core.batch import HAVE_NUMPY, BatchArena
 from repro.core.exceptions import FaultCode, TCPUFault
 from repro.core.memory_map import SRAM_WORDS, MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU, pipeline_cycles
+from repro.core.tpp import FLAG_DONE
 from repro.core.verifier import verify_program
 
 SIZES = (1, 2, 32)
@@ -42,15 +41,13 @@ class FakePort:
         self.queue = FakeQueue()
 
 
-def make_mmu(clock=123456, stable=True):
-    """Bound statistics, batch-stable by default (as the switch binds
-    them) so certified read-only programs qualify for the vector lane."""
+def make_mmu(clock=123456):
+    """An MMU with the statistics the test programs read."""
     mmu = MMU(name="batchdiff")
-    mmu.bind_reader("Switch:SwitchID", lambda ctx: 7, batch_stable=stable)
-    mmu.bind_reader("Switch:ClockLo", lambda ctx: clock, batch_stable=stable)
+    mmu.bind_reader("Switch:SwitchID", lambda ctx: 7)
+    mmu.bind_reader("Switch:ClockLo", lambda ctx: clock)
     mmu.bind_reader("Queue:QueueSize",
-                    lambda ctx: ctx.queue.occupancy_bytes,
-                    batch_stable=stable)
+                    lambda ctx: ctx.queue.occupancy_bytes)
     return mmu
 
 
@@ -78,8 +75,7 @@ def certificate_for(program, max_instructions):
 
 def run_batch_vs_interpreter(source, sizes=SIZES, hops=1, task_ids=None,
                              max_instructions=5, prepare=None, damage=None,
-                             shared_ctx=False, stable=True,
-                             **assemble_kwargs):
+                             shared_ctx=False, **assemble_kwargs):
     """Assert batched ≡ interpreter for every batch size; return the
     per-size ``(batched_side, reference_side)`` tuples, where each side
     is ``(reports_per_hop, sections, mmu, tcpu)``.
@@ -97,14 +93,13 @@ def run_batch_vs_interpreter(source, sizes=SIZES, hops=1, task_ids=None,
         assert len(tasks) == n, "task_ids must match the batch size"
         sides = []
         for batched in (True, False):
-            mmu = make_mmu(stable=stable)
+            mmu = make_mmu()
             if prepare is not None:
                 prepare(mmu)
-            # Explicit flags so the suite still exercises the real batch
-            # engine under the REPRO_TPP_BATCH=0 / _FASTPATH=0 env
-            # opt-outs (which have their own dedicated tests).
+            # An explicit flag so the batched side compiles even under
+            # the REPRO_TPP_FASTPATH=0 environment opt-out.
             tcpu = TCPU(mmu, max_instructions=max_instructions,
-                        compile=batched, batch=True)
+                        compile=batched)
             if certificate is not None:
                 tcpu.trust(certificate)
             sections = [program.build(task_id=t) for t in tasks]
@@ -212,34 +207,10 @@ class TestOpcodes:
 
 
 class TestLaneSelection:
-    """The fast lane must actually engage — and must not over-engage."""
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
-    def test_certified_read_only_program_vectorizes(self):
-        results = run_batch_vs_interpreter("""
-            PUSH [Switch:SwitchID]
-            PUSH [Queue:QueueSize]
-        """)
-        for (_, _, _, tcpu), _ in results:
-            assert tcpu.vector_batches == 1
-            assert tcpu.batch_fallbacks == 0
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
-    def test_private_scatter_write_vectorizes(self):
-        # A certified store of per-packet data to a word the program
-        # never reads back is a last-writer-wins scatter: write lane.
-        results = run_batch_vs_interpreter("""
-            PUSH [Switch:SwitchID]
-            POP [Sram:Word0]
-        """)
-        for (_, _, _, tcpu), _ in results:
-            assert tcpu.vector_batches == 1
-            assert tcpu.vector_write_batches == 1
-            assert tcpu.batch_fallbacks == 0
+    """Every batch shape runs the shared compiled entry packet by packet
+    (the safe lane); none of them falls back or records a demotion."""
 
     def test_non_additive_rmw_takes_the_safe_lane(self):
-        # XOR is not an additive chain: the read-modify-write of Word0
-        # has no vectorizable dataflow class, the batch demotes.
         results = run_batch_vs_interpreter("""
             .mode absolute
             .memory 1
@@ -248,15 +219,20 @@ class TestLaneSelection:
             STORE [Sram:Word0], [Packet:0]
         """)
         for (_, _, _, tcpu), _ in results:
-            assert tcpu.vector_batches == 0
-            if HAVE_NUMPY:
-                assert tcpu.batch_demotions.get("write_dataflow", 0) >= 1
+            assert tcpu.batch_demotions == {}
 
     def test_unstable_readers_take_the_safe_lane(self):
-        results = run_batch_vs_interpreter("PUSH [Switch:SwitchID]",
-                                           stable=False)
-        for (_, _, _, tcpu), _ in results:
-            assert tcpu.vector_batches == 0
+        # A reader whose value moves on every read: each packet must see
+        # the next value, in arrival order, exactly as in the loop.
+        def counting(mmu):
+            reads = iter(range(1000))
+            mmu.bind_reader("Switch:ClockLo", lambda ctx: next(reads))
+
+        results = run_batch_vs_interpreter("PUSH [Switch:ClockLo]",
+                                           prepare=counting)
+        for n, ((_, sections, _, tcpu), _) in zip(SIZES, results):
+            assert [s.read_word(0) for s in sections] == list(range(n))
+            assert tcpu.batch_demotions == {}
 
     def test_uncertified_program_takes_the_safe_lane(self):
         # An unmapped read can never earn a certificate; the batch must
@@ -264,11 +240,10 @@ class TestLaneSelection:
         results = run_batch_vs_interpreter(
             ".memory 1\nLOAD [0x0999], [Packet:0]")
         for (b_reports, _, _, tcpu), _ in results:
-            assert tcpu.vector_batches == 0
+            assert tcpu.verified_executions == 0
             assert all(r.fault == FaultCode.BAD_ADDRESS
                        for r in b_reports[0])
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
     def test_non_uniform_hop_counters_take_the_safe_lane(self):
         def advance_one(section, index):
             if index == 1:
@@ -277,16 +252,15 @@ class TestLaneSelection:
         results = run_batch_vs_interpreter("PUSH [Switch:SwitchID]",
                                            sizes=(2,), damage=advance_one)
         (_, _, _, tcpu), _ = results[0]
-        assert tcpu.vector_batches == 0
+        assert tcpu.batch_demotions == {}
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
     def test_shared_context_batch_is_identical(self):
         results = run_batch_vs_interpreter("""
             PUSH [Switch:SwitchID]
             PUSH [Queue:QueueSize]
         """, shared_ctx=True)
         for (_, _, _, tcpu), _ in results:
-            assert tcpu.vector_batches == 1
+            assert tcpu.batch_demotions == {}
 
 
 class TestFaults:
@@ -361,61 +335,53 @@ class TestFaults:
             "LOAD [Switch:SwitchID], [Packet:Hop[0]]",
             sizes=(2,), damage=scramble_one)
 
+    def test_reader_fault_on_one_packet_agrees(self):
+        """A statistic that faults for one packet's task faults only
+        that packet; its neighbours run to completion."""
+        def flaky_clock(mmu):
+            def flaky(ctx):
+                if ctx.task_id == 2:
+                    raise TCPUFault(FaultCode.BAD_ADDRESS,
+                                    "statistic unbound for task 2")
+                return 11
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
-class TestVectorLaneFaultRecovery:
-    """A mid-kernel MMU fault must rewind and replay bit-identically."""
+            mmu.bind_reader("Switch:ClockLo", flaky)
 
-    def _flaky_mmu(self, stable=True):
-        mmu = MMU(name="flaky")
-        mmu.bind_reader("Switch:SwitchID", lambda ctx: 7,
-                        batch_stable=stable)
-
-        def flaky(ctx):
-            if ctx.task_id == 2:
-                raise TCPUFault(FaultCode.BAD_ADDRESS,
-                                "statistic unbound for task 2")
-            return 11
-
-        mmu.bind_reader("Switch:ClockLo", flaky, batch_stable=stable)
-        return mmu
-
-    def test_fault_mid_kernel_falls_back_bit_identically(self):
-        source = """
+        results = run_batch_vs_interpreter("""
             PUSH [Switch:SwitchID]
             PUSH [Switch:ClockLo]
-        """
-        program = assemble(source)
-        certificate = certificate_for(program, 5)
-        assert certificate is not None
-        task_ids = [1, 1, 2, 1]
+        """, sizes=(4,), task_ids=[1, 1, 2, 1], prepare=flaky_clock)
+        (b_reports, _, _, _), _ = results[0]
+        assert [r.fault for r in b_reports[0]] == [
+            FaultCode.NONE, FaultCode.NONE, FaultCode.BAD_ADDRESS,
+            FaultCode.NONE]
 
-        sides = []
+    def test_aliased_ctx_mixed_task_ids_agrees(self):
+        """One context object shared by sections of different tasks:
+        each packet's SRAM access is checked against its own task."""
+        program = assemble(".mode absolute\n.memory 1\n"
+                           "LOAD [Sram:Word0], [Packet:0]")
+        task_ids = [1, 2, 1, 2]
+        faults = []
         for batched in (True, False):
-            tcpu = TCPU(self._flaky_mmu(), compile=batched, batch=True)
-            tcpu.trust(certificate)
+            mmu = make_mmu()
+            mmu.allocate_sram(0, 1, task_id=1)
+            mmu.enforce_sram_protection = True
+            mmu.poke_sram(0, 33)
+            tcpu = TCPU(mmu, compile=batched)
             sections = [program.build(task_id=t) for t in task_ids]
-            ctxs = [make_ctx(t) for t in task_ids]
+            ctx = make_ctx()
+            ctxs = [ctx] * len(sections)
             if batched:
                 reports = tcpu.execute_batch(sections, ctxs)
             else:
                 reports = [tcpu.execute(s, c)
                            for s, c in zip(sections, ctxs)]
-            sides.append((reports, sections, tcpu))
-
-        (b_reports, b_sections, b_tcpu), (r_reports, r_sections, _) = sides
-        # The kernel started (first column written), hit the fault on
-        # packet 2, rewound, and replayed through the safe lane.
-        assert b_tcpu.batch_fallbacks == 1
-        assert b_tcpu.vector_batches == 0
-        for fast, ref in zip(b_reports, r_reports):
-            assert report_tuple(fast) == report_tuple(ref)
-        assert [r.fault for r in b_reports] == [
-            FaultCode.NONE, FaultCode.NONE, FaultCode.BAD_ADDRESS,
-            FaultCode.NONE]
-        for fast, ref in zip(b_sections, r_sections):
-            assert bytes(fast.memory) == bytes(ref.memory)
-            assert fast.encode() == ref.encode()
+            faults.append([r.fault for r in reports])
+            assert [s.read_word(0) for s in sections] == [33, 0, 33, 0]
+        assert faults[0] == faults[1] == [
+            FaultCode.NONE, FaultCode.SRAM_PROTECTION,
+            FaultCode.NONE, FaultCode.SRAM_PROTECTION]
 
 
 class TestMultiCEXEC:
@@ -434,7 +400,7 @@ class TestMultiCEXEC:
                         compile=compile_flag)
             reports[name] = tcpu.execute(program.build(), make_ctx())
         tcpu = TCPU(make_mmu(), max_instructions=max_instructions,
-                    compile=True, batch=True)
+                    compile=True)
         reports["batch"] = tcpu.execute_batch(
             [program.build(), program.build()],
             [make_ctx(), make_ctx()])[0]
@@ -501,104 +467,31 @@ class TestBatchMechanics:
         assert a.read_word(0) == 7
         assert b.read_word(0) == 500
 
-    def test_batch_opt_out_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TPP_BATCH", "0")
-        tcpu = TCPU(make_mmu())
-        assert tcpu.batch_enabled is False
-        program = assemble("PUSH [Switch:SwitchID]")
-        sections = [program.build() for _ in range(3)]
-        reports = tcpu.execute_batch(sections,
-                                     [make_ctx() for _ in range(3)])
-        # Degenerates to the scalar loop: no batch accounting at all.
-        assert tcpu.batches_executed == 0
-        assert [r.executed for r in reports] == [1, 1, 1]
-        assert all(s.read_word(0) == 7 for s in sections)
+    def test_done_sections_are_skipped(self):
+        """Sections whose DONE flag is set (a reply on its way back) get
+        an empty report and keep their bytes, mid-batch included."""
+        def finish_odd(section, index):
+            if index % 2:
+                section.flags |= FLAG_DONE
 
-    def test_batch_ctor_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TPP_BATCH", "0")
-        assert TCPU(make_mmu(), batch=True).batch_enabled is True
-        monkeypatch.delenv("REPRO_TPP_BATCH")
-        assert TCPU(make_mmu(), batch=False).batch_enabled is False
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="arena needs numpy")
-class TestBatchArena:
-    def test_adopt_aliases_rows(self):
-        sections = [assemble(".memory 1\n.data 0 1\nNOP").build()
-                    for _ in range(2)]
-        arena = BatchArena(sections)
-        arena.matrix[0, 0] = 0xAB
-        assert sections[0].memory[0] == 0xAB
-        sections[1].memory[0] = 0xCD
-        assert arena.matrix[1, 0] == 0xCD
-
-    def test_release_restores_bytearrays(self):
-        sections = [assemble(".memory 1\n.data 0 7\nNOP").build()]
-        before = bytes(sections[0].memory)
-        arena = BatchArena(sections)
-        arena.release()
-        assert isinstance(sections[0].memory, bytearray)
-        assert bytes(sections[0].memory) == before
-        # A released section survives the corruption injector's resize.
-        del sections[0].memory[:]
-
-    def test_mismatched_lengths_rejected(self):
-        a = assemble(".memory 1\nNOP").build()
-        b = assemble(".memory 2\nNOP").build()
-        with pytest.raises(ValueError):
-            BatchArena([a, b])
-
-    def test_resident_arena_across_executions(self):
-        program = assemble("PUSH [Switch:SwitchID]")
-        certificate = certificate_for(program, 5)
-        tcpu = TCPU(make_mmu(), compile=True, batch=True)
-        tcpu.trust(certificate)
-        sections = [program.build() for _ in range(4)]
-        h0 = sections[0].hop_or_sp
-        arena = BatchArena(sections)
-        ctxs = [make_ctx() for _ in range(4)]
-        for _ in range(3):
-            for section in sections:
-                section.hop_or_sp = h0
-            reports = tcpu.execute_batch(sections, ctxs, arena=arena)
-            assert all(r.ok for r in reports)
-        assert tcpu.vector_batches == 3
-        assert all(s.read_word(0) == 7 for s in sections)
-
-
-class TestNumpySRAM:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_numpy_sram_preserves_contents_and_semantics(self):
-        mmu = make_mmu()
-        mmu.poke_sram(0, 0xDEADBEEF)
-        assert mmu.use_numpy_sram() is True
-        assert mmu.peek_sram(0) == 0xDEADBEEF
-        mmu.poke_sram(1, 2 ** 64 - 1)
-        assert mmu.peek_sram(1) == 2 ** 64 - 1
-        assert mmu.use_numpy_sram() is True  # idempotent
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_differential_with_numpy_sram(self):
-        def prepare(mmu):
-            mmu.poke_sram(2, 41)
-            mmu.use_numpy_sram()
-
-        results = run_batch_vs_interpreter("""
-            PUSH [Queue:QueueSize]
-            POP [Sram:Word2]
-        """, prepare=prepare)
-        (_, _, mmu, _), _ = results[0]
-        assert mmu.peek_sram(2) == 500
+        results = run_batch_vs_interpreter("PUSH [Switch:SwitchID]",
+                                           sizes=(1, 2, 32),
+                                           damage=finish_odd)
+        for n, ((b_reports, sections, _, _), _) in zip(SIZES, results):
+            for index, report in enumerate(b_reports[0]):
+                done = bool(index % 2)
+                assert report.executed == (0 if done else 1)
+                assert sections[index].read_word(0) == (0 if done else 7)
 
 
 class TestWriteLanes:
-    """Write-capable vector lanes: batched ≡ interpreter with SRAM
-    mutation in flight, across all three dataflow classes."""
+    """SRAM-writing programs: batched ≡ interpreter with SRAM mutation
+    in flight — additive counters, CSTORE claims and plain scatters."""
 
     def test_accumulate_counter(self):
         # The canonical per-switch counter: every packet adds its own
-        # delta to Word7 — sequential order reproduced by prefix-scan,
-        # so every packet also *observes* a distinct intermediate value.
+        # delta to Word7, so every packet also *observes* a distinct
+        # intermediate value.
         def seed(mmu):
             mmu.poke_sram(7, 100)
 
@@ -614,10 +507,6 @@ class TestWriteLanes:
             # Packet i saw the counter after i predecessors bumped it.
             assert [s.read_word(0) for s in sections] == \
                 [100 + i + 1 for i in range(n)]
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
-                assert tcpu.vector_write_batches == 1
-                assert tcpu.vector_write_tpps == n
 
     def test_accumulate_load_chain(self):
         # LOAD w; ADD delta; STORE w — the read side of the chain.
@@ -635,8 +524,8 @@ class TestWriteLanes:
             assert mmu.peek_sram(2) == 9 + 7 * n
 
     def test_accumulate_wraps_identically(self):
-        # Start the counter near the word boundary so the prefix scan
-        # must wrap mod 2^32 exactly like the scalar packing does.
+        # Start the counter near the word boundary so the sum must wrap
+        # mod 2^32 exactly like the scalar packing does.
         def seed(mmu):
             mmu.poke_sram(1, 0xFFFFFFF0)
 
@@ -650,7 +539,7 @@ class TestWriteLanes:
 
     def test_accumulate_oversized_control_plane_seed(self):
         # A control-plane poke can exceed the 32-bit word; the scalar
-        # path masks at LOAD time and the kernel must agree.
+        # path masks at LOAD time and the batch must agree.
         def seed(mmu):
             mmu.poke_sram(3, (1 << 40) | 5)
 
@@ -663,7 +552,7 @@ class TestWriteLanes:
         """, prepare=seed)
 
     def test_accumulate_stack_identity(self):
-        # PUSH w; POP w is a delta-zero additive chain (sp family).
+        # PUSH w; POP w writes back what it read.
         def seed(mmu):
             mmu.poke_sram(4, 77)
 
@@ -722,13 +611,10 @@ class TestWriteLanes:
             assert wins[0] == [(mmu.memory_map.resolve("Sram:Word0"),
                                 1000)]
             assert all(w == [] for w in wins[1:])
-            if HAVE_NUMPY:
-                assert tcpu.vector_write_batches == 1
 
     def test_claim_chained_wins(self):
         # Packet i expects value i and claims i+1: sequential chaining
-        # means *every* packet wins — the exact-integer replay must not
-        # stop at the first match.
+        # means *every* packet wins.
         def stamp(section, index):
             section.write_word(0, index)
             section.write_word(4, index + 1)
@@ -792,8 +678,7 @@ class TestWriteLanes:
             assert mmu.peek_sram(1) == 20 + 2 * n
 
     def test_accumulate_under_sram_protection(self):
-        # Uniform owner task: the write lane's protection precheck
-        # passes and the vectorized result must still be identical.
+        # Uniform owner task: every packet passes the protection check.
         def prepare(mmu):
             mmu.allocate_sram(0, 2, task_id=3)
             mmu.enforce_sram_protection = True
@@ -806,14 +691,12 @@ class TestWriteLanes:
             ADD [Packet:0], [Sram:Word1]
             STORE [Sram:Word1], [Packet:0]
         """, sizes=(4,), task_ids=[3, 3, 3, 3], prepare=prepare)
-        (_, _, mmu, tcpu), _ = results[0]
+        (_, _, mmu, _), _ = results[0]
         assert mmu.peek_sram(1) == 10
-        if HAVE_NUMPY:
-            assert tcpu.vector_write_batches == 1
 
-    def test_foreign_task_write_demotes_and_faults(self):
-        # Uniform *intruder* task: precheck demotes to the safe lane,
-        # which reproduces the per-packet protection faults.
+    def test_foreign_task_write_faults(self):
+        # Uniform *intruder* task: every packet faults on its write and
+        # the owner's word is untouched.
         def prepare(mmu):
             mmu.allocate_sram(0, 2, task_id=3)
             mmu.enforce_sram_protection = True
@@ -822,44 +705,18 @@ class TestWriteLanes:
             PUSH [Switch:SwitchID]
             POP [Sram:Word0]
         """, sizes=(4,), task_ids=[5, 5, 5, 5], prepare=prepare)
-        (b_reports, _, _, tcpu), _ = results[0]
+        (b_reports, _, mmu, _), _ = results[0]
         assert all(r.fault == FaultCode.SRAM_PROTECTION
                    for r in b_reports[0])
-        assert tcpu.vector_write_batches == 0
-        if HAVE_NUMPY:
-            assert tcpu.batch_demotions.get("sram_protection", 0) == 1
-
-    def test_private_scatter_with_numpy_sram(self):
-        def prepare(mmu):
-            mmu.use_numpy_sram()
-
-        run_batch_vs_interpreter("""
-            PUSH [Queue:QueueSize]
-            POP [Sram:Word2]
-        """, prepare=prepare)
-
-    def test_accumulate_with_numpy_sram(self):
-        def prepare(mmu):
-            mmu.poke_sram(8, 3)
-            mmu.use_numpy_sram()
-
-        run_batch_vs_interpreter("""
-            .mode absolute
-            .memory 1
-            .data 0 5
-            ADD [Packet:0], [Sram:Word8]
-            STORE [Sram:Word8], [Packet:0]
-        """, prepare=prepare)
-
+        assert mmu.peek_sram(0) == 0
 
 class TestRawOperandArithmetic:
     """The scalar path applies MIN/MAX to the *raw* operand and masks
-    afterwards; the kernel must not pre-mask (regression: it used to)."""
+    afterwards; the batch must not pre-mask."""
 
     def _rebind(self, value):
         def prepare(mmu):
-            mmu.bind_reader("Switch:ClockLo", lambda ctx: value,
-                            batch_stable=True)
+            mmu.bind_reader("Switch:ClockLo", lambda ctx: value)
         return prepare
 
     @pytest.mark.parametrize("op", ["MIN", "MAX", "ADD", "SUB", "AND",
@@ -873,7 +730,6 @@ class TestRawOperandArithmetic:
 
     @pytest.mark.parametrize("raw", [-1, 2 ** 33])
     def test_out_of_range_operand_distinct_ctxs(self, raw):
-        # The non-shared-context element-wise path.
         run_batch_vs_interpreter("""
             .data 0 41
             MIN [Packet:0], [Switch:ClockLo]
@@ -923,8 +779,8 @@ class TestRandomizedSweep:
 
     def test_random_write_programs_agree(self):
         """Write-biased fuzz: every program bears at least one SRAM
-        write, sweeping all three dataflow classes plus the mixed
-        demotions, with seeded SRAM contents and per-packet data."""
+        write (counters, claims, scatters and mixed read-modify-writes),
+        with seeded SRAM contents and per-packet data."""
         rng = random.Random(0xACC)
         write_templates = [
             "STORE [Sram:Word{word}], [Packet:{slot}]",
@@ -1053,28 +909,24 @@ class TestRandomizedSweep:
 
 class TestSketchDifferential:
     """Generated sketch update programs through the differential rig:
-    accumulate columns vectorize, CSTORE claims vectorize, MAX-RMW
-    register updates demote — and every lane stays bit-identical to
-    the interpreter at sizes 1/2/32."""
+    count-min rows, heavy-hitter claims and MAX-RMW register updates
+    all stay bit-identical to the interpreter at sizes 1/2/32."""
 
     def _hh_layout(self):
         from repro.telemetry import HeavyHitterLayout
         return HeavyHitterLayout(base_word=0, width=8, depth=2,
                                  n_slots=2)
 
-    def test_count_min_update_rides_the_write_lane(self):
+    def test_count_min_update_agrees(self):
         from repro.telemetry import build_count_min_update
         layout = self._hh_layout().countmin
         update = build_count_min_update(layout, key=42, delta=3)
         results = run_batch_vs_interpreter(update.source)
         for n, ((_, _, mmu, tcpu), _) in zip(SIZES, results):
-            # n packets, delta 3, one cell per row: pure accumulate.
+            # n packets, delta 3, one cell per row.
             assert [mmu.peek_sram(w) for w in update.words] == \
                 [3 * n] * layout.depth
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
-                assert tcpu.vector_write_batches == 1
-                assert tcpu.batch_demotions == {}
+            assert tcpu.batch_demotions == {}
 
     def test_heavy_hitter_update_accumulate_plus_claim(self):
         from repro.telemetry import build_heavy_hitter_update
@@ -1082,16 +934,12 @@ class TestSketchDifferential:
         update = build_heavy_hitter_update(layout, key=42)
         results = run_batch_vs_interpreter(update.source)
         slot = layout.slot_word(42)
-        for n, ((_, _, mmu, tcpu), _) in zip(SIZES, results):
+        for n, ((_, _, mmu, _), _) in zip(SIZES, results):
             for word in update.words[:-1]:
                 assert mmu.peek_sram(word) == n
             # First packet claims the slot; the rest find key 42 there
             # (CSTORE only writes on match) and leave it intact.
             assert mmu.peek_sram(slot) == 42
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
-                assert tcpu.vector_write_batches == 1
-                assert tcpu.batch_demotions == {}
 
     def test_claimed_slot_survives_rival_batch(self):
         # A batch of updates for a *different* key that hashes to the
@@ -1109,19 +957,16 @@ class TestSketchDifferential:
         for (_, _, mmu, _), _ in results:
             assert mmu.peek_sram(layout.slot_word(42)) == 42
 
-    def test_distinct_update_demotes_to_safe_lane(self):
+    def test_distinct_update_agrees(self):
         from repro.telemetry import (DistinctCountLayout,
                                      build_distinct_update)
         layout = DistinctCountLayout(base_word=32, m=8)
         update = build_distinct_update(layout, key=5)
         _, rank = layout.bucket_and_rank(5)
         results = run_batch_vs_interpreter(update.source)
-        for n, ((_, _, mmu, tcpu), _) in zip(SIZES, results):
+        for (_, _, mmu, _), _ in results:
             # Idempotent MAX: any number of packets leaves the rank.
             assert mmu.peek_sram(update.words[0]) == rank
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 0
-                assert tcpu.batch_demotions.get("write_dataflow", 0) >= 1
 
     def test_mixed_key_sketch_batch_degrades_to_scalar(self):
         # Different keys are different programs (the hash is baked into
@@ -1141,111 +986,55 @@ class TestSketchDifferential:
                 expect = 2 if word in set(a.words) & set(b.words) else 1
                 assert tcpu.mmu.peek_sram(word) == expect
 
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
-class TestSketchFaultRewind:
-    """A mid-batch fault during a sketch update must rewind the write
-    kernel with no partial counter increments left behind.
-
-    Task ids are uniform (mixed tasks on a write-bearing batch demote
-    before the kernel starts, reason ``non_uniform``); the fault comes
-    from a per-context reader, so the kernel genuinely starts, hits
-    the fault on packet 2, rewinds, and replays through the safe lane.
-    """
-
-    def _flaky_mmu(self):
-        mmu = MMU(name="flaky-sketch")
-        mmu.bind_reader("Switch:SwitchID", lambda ctx: 7,
-                        batch_stable=True)
-
-        def flaky(ctx):
-            if ctx.time_ns == 3:
-                raise TCPUFault(FaultCode.BAD_ADDRESS,
-                                "clock gap at t=3")
-            return 11
-
-        mmu.bind_reader("Switch:ClockLo", flaky, batch_stable=True)
-        return mmu
-
-    def test_fault_mid_sketch_write_rewinds_bit_identically(self):
+    def test_fault_mid_sketch_write_agrees(self):
+        """A packet whose clock read faults dies before its counter
+        writes: exactly the three healthy packets' increments land."""
         from repro.telemetry import build_count_min_update
         from repro.telemetry.layout import CountMinLayout
         layout = CountMinLayout(base_word=0, width=8, depth=2)
         update = build_count_min_update(layout, key=42)
-        # Prefix the update with the flaky read so the faulting packet
-        # dies *before* its counter writes: the rewound replay must
-        # leave exactly the three healthy packets' increments.
         source = update.source.replace(
             ".memory 2",
             ".memory 3\nLOAD [Switch:ClockLo],[Packet:2]")
-        program = assemble(source)
-        certificate = certificate_for(program, 5)
-        assert certificate is not None
 
-        def ctx_at(t):
-            return ExecutionContext(metadata=PacketMetadata(),
-                                    egress_port=FakePort(), time_ns=t,
-                                    task_id=0)
+        def flaky_clock(mmu):
+            def flaky(ctx):
+                if ctx.task_id == 3:
+                    raise TCPUFault(FaultCode.BAD_ADDRESS,
+                                    "clock gap for task 3")
+                return 11
 
-        sides = []
-        for batched in (True, False):
-            tcpu = TCPU(self._flaky_mmu(), compile=batched, batch=True)
-            tcpu.trust(certificate)
-            sections = [program.build() for _ in range(4)]
-            ctxs = [ctx_at(t) for t in (1, 2, 3, 4)]
-            if batched:
-                reports = tcpu.execute_batch(sections, ctxs)
-            else:
-                reports = [tcpu.execute(s, c)
-                           for s, c in zip(sections, ctxs)]
-            sides.append((reports, sections, tcpu))
+            mmu.bind_reader("Switch:ClockLo", flaky)
 
-        (b_reports, b_sections, b_tcpu), (r_reports, r_sections,
-                                          r_tcpu) = sides
-        assert b_tcpu.batch_fallbacks == 1
-        assert b_tcpu.vector_batches == 0
-        assert b_tcpu.batch_demotions.get("fault_rewind", 0) == 1
-        assert [r.fault for r in b_reports] == [
+        results = run_batch_vs_interpreter(
+            source, sizes=(4,), task_ids=[1, 2, 3, 4], prepare=flaky_clock)
+        (b_reports, _, b_mmu, _), (_, _, r_mmu, _) = results[0]
+        assert [r.fault for r in b_reports[0]] == [
             FaultCode.NONE, FaultCode.NONE, FaultCode.BAD_ADDRESS,
             FaultCode.NONE]
-        for fast, ref in zip(b_reports, r_reports):
-            assert report_tuple(fast) == report_tuple(ref)
-        for fast, ref in zip(b_sections, r_sections):
-            assert bytes(fast.memory) == bytes(ref.memory)
-            assert fast.encode() == ref.encode()
-        # No partial sketch writes from the faulted packet, and the
-        # rewound batch left the same counters as the interpreter.
         for word in update.words:
-            assert b_tcpu.mmu.peek_sram(word) == 3
-            assert r_tcpu.mmu.peek_sram(word) == 3
+            assert b_mmu.peek_sram(word) == r_mmu.peek_sram(word) == 3
 
-    def test_mixed_task_sketch_batch_demotes_before_kernel(self):
-        """The contrast case: mixed task ids on a write-bearing batch
-        must demote *before* any kernel state exists — still
-        bit-identical, counted as ``non_uniform``, not a rewind."""
+    def test_mixed_task_sketch_batch_agrees(self):
+        """Mixed task ids on a write-bearing batch: each packet runs in
+        its own task, and every increment lands."""
         from repro.telemetry import build_count_min_update
         from repro.telemetry.layout import CountMinLayout
         layout = CountMinLayout(base_word=0, width=8, depth=2)
         update = build_count_min_update(layout, key=42)
-        program = assemble(update.source)
-        certificate = certificate_for(program, 5)
-        task_ids = [1, 1, 2, 1]
-        tcpu = TCPU(make_mmu(), compile=True, batch=True)
-        tcpu.trust(certificate)
-        sections = [program.build(task_id=t) for t in task_ids]
-        reports = tcpu.execute_batch(sections,
-                                     [make_ctx(t) for t in task_ids])
-        assert all(r.ok for r in reports)
-        assert tcpu.batch_fallbacks == 0
-        assert tcpu.batch_demotions.get("non_uniform", 0) == 1
+        results = run_batch_vs_interpreter(
+            update.source, sizes=(4,), task_ids=[1, 1, 2, 1])
+        (b_reports, _, mmu, tcpu), _ = results[0]
+        assert all(r.ok for r in b_reports[0])
+        assert tcpu.batch_demotions == {}
         for word in update.words:
-            assert tcpu.mmu.peek_sram(word) == 4
+            assert mmu.peek_sram(word) == 4
 
 
 class TestDeadFenceVector:
-    """Relationally-dead CEXEC suffixes ride the vector lane; reports,
-    packet memory and switch state must stay bit-identical to the
-    interpreter, which executes the fence the long way."""
+    """Relationally-dead CEXEC suffixes: reports, packet memory and
+    switch state must stay bit-identical to the interpreter, which
+    executes the fence the long way."""
 
     DEAD_FENCE = (".memory 2\n"
                   "LOAD [Switch:ClockLo], [Packet:0]\n"
@@ -1255,10 +1044,10 @@ class TestDeadFenceVector:
     def test_dead_fence_agrees(self):
         results = run_batch_vs_interpreter(self.DEAD_FENCE,
                                            max_instructions=8)
-        if HAVE_NUMPY:
-            (_, _, _, tcpu), _ = results[-1]
-            assert tcpu.vector_batches >= 1
-            assert tcpu.batch_demotions == {}
+        for (b_reports, _, mmu, _), _ in results:
+            assert all(r.cexec_disabled_at == 1 and r.skipped == 1
+                       for r in b_reports[0])
+            assert mmu.peek_sram(0) == 0
 
     def test_dead_fence_agrees_shared_ctx(self):
         run_batch_vs_interpreter(self.DEAD_FENCE, max_instructions=8,
@@ -1266,8 +1055,7 @@ class TestDeadFenceVector:
 
     def test_dead_fence_on_sram_fence_register(self):
         # The fence register itself lives in SRAM: the per-packet
-        # disabling read is task-dependent, so the lowering must keep
-        # task-id addressing while still skipping the dead suffix.
+        # disabling read is task-dependent.
         source = (".memory 2\n"
                   "LOAD [Switch:ClockLo], [Packet:0]\n"
                   "CEXEC [Sram:Word7], 0x0F, 0xF0\n"

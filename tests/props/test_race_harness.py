@@ -443,10 +443,10 @@ def sketch_words(layout, hll):
 def build_sketch_fleet(seed):
     """2-6 concurrent sketch programs sharing one switch's sketch SRAM.
 
-    Mixes every dataflow class the sketch subsystem generates:
-    heavy-hitter updates (accumulate rows + a CSTORE claim), bare
-    count-min updates (accumulate only), distinct-count updates (MAX
-    RMW, mixed) and LOAD-only probe readers.  Keys come from a small
+    Mixes every update shape the sketch subsystem generates:
+    heavy-hitter updates (additive rows + a CSTORE claim), bare
+    count-min updates (additive rows only), distinct-count updates (MAX
+    RMW) and LOAD-only probe readers.  Keys come from a small
     universe so colliding counter cells — and duplicate keys — occur
     often.
     """

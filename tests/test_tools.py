@@ -55,7 +55,7 @@ def bench_report(schema="simcore-bench/v3", scale=1.0, **overrides):
             "scalar_execs_per_sec": 2e5 * scale,
             "speedup_vs_scalar": 7.5}
     if schema in ("simcore-bench/v5", "simcore-bench/v6",
-                  "simcore-bench/v7"):
+                  "simcore-bench/v7", "simcore-bench/v8"):
         workloads["fleet_scale"] = {
             "packets_per_sec_modeled": 8e4 * scale,
             "flows_per_sec_modeled": 2e5 * scale,
@@ -145,6 +145,17 @@ class TestRunBenchValidate:
         problems = load_run_bench().validate(report)
         assert any("tpp_exec_sketch" in p for p in problems)
 
+    def test_v8_report_valid(self):
+        report = bench_report(schema="simcore-bench/v8")
+        assert "tpp_exec_batched" not in report["workloads"]
+        assert load_run_bench().validate(report) == []
+
+    def test_v8_still_requires_fleet_workload(self):
+        report = bench_report(schema="simcore-bench/v8")
+        del report["workloads"]["fleet_scale"]
+        problems = load_run_bench().validate(report)
+        assert any("fleet_scale" in p for p in problems)
+
     def test_unknown_schema_rejected(self):
         problems = load_run_bench().validate(
             bench_report(schema="simcore-bench/v99"))
@@ -197,22 +208,22 @@ class TestRunBenchCompare:
         assert "regressed beyond" in captured.err
 
     def test_per_workload_noise_floor(self, tmp_path, capsys):
-        """A 15% drop on the (noisy) batched workload is inside its 20%
-        floor, while the same drop on event_core (10% floor) regresses —
-        one global tolerance cannot express both."""
+        """A 12% drop on the (noisy) full-pipeline and fleet workloads is
+        inside their 15% floor, while the same drop on event_core (10%
+        floor) regresses — one global tolerance cannot express both."""
         run_bench = load_run_bench()
-        old_report = bench_report(schema="simcore-bench/v6")
-        noisy_only = bench_report(schema="simcore-bench/v6")
-        for name in ("tpp_exec_batched", "tpp_exec_batched_write"):
-            for metric in noisy_only["workloads"][name]:
-                if metric != "vector_write_batches":
-                    noisy_only["workloads"][name][metric] *= 0.85
+        old_report = bench_report(schema="simcore-bench/v8")
+        noisy_only = bench_report(schema="simcore-bench/v8")
+        noisy_only["workloads"]["packet_forwarding"][
+            "packet_hops_per_sec_wall"] *= 0.88
+        noisy_only["workloads"]["fleet_scale"][
+            "packets_per_sec_modeled"] *= 0.88
         old = self.write(tmp_path, "old.json", old_report)
         new = self.write(tmp_path, "new.json", noisy_only)
         assert run_bench.main(["--compare", old, new]) == 0
 
-        quiet_hit = bench_report(schema="simcore-bench/v6")
-        quiet_hit["workloads"]["event_core"]["events_per_sec"] *= 0.85
+        quiet_hit = bench_report(schema="simcore-bench/v8")
+        quiet_hit["workloads"]["event_core"]["events_per_sec"] *= 0.88
         new = self.write(tmp_path, "new2.json", quiet_hit)
         assert run_bench.main(["--compare", old, new]) == 1
         captured = capsys.readouterr()

@@ -12,7 +12,7 @@ Usage::
 The JSON is the perf trajectory the ROADMAP tracks: every PR can re-run
 this and diff events/sec, packets/sec, and TPP-exec/sec against the
 committed baseline.  ``--validate`` exits non-zero on a malformed file
-(the v1 through v7 schemas are all accepted); ``--compare`` exits
+(the v1 through v8 schemas are all accepted); ``--compare`` exits
 non-zero when any shared workload's primary metric regressed beyond
 its per-workload noise floor (``WORKLOAD_TOLERANCES``).
 """
@@ -36,7 +36,7 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simcore.json"
 SUPPORTED_SCHEMAS = ("simcore-bench/v1", "simcore-bench/v2",
                      "simcore-bench/v3", "simcore-bench/v4",
                      "simcore-bench/v5", "simcore-bench/v6",
-                     "simcore-bench/v7")
+                     "simcore-bench/v7", "simcore-bench/v8")
 
 #: metric keys that must exist and be positive finite numbers, per workload.
 REQUIRED_METRICS = {
@@ -63,9 +63,13 @@ REQUIRED_METRICS_V3 = {
                           "speedup_vs_unverified"),
 }
 
+#: Requirements of the v4, v6 and v7 schemas, retired in v8 together
+#: with the numpy vector lanes those workloads measured: v4 through v7
+#: files still need them, v8 files do not carry them.
+RETIRED_IN_V8 = 8
+
 #: additional requirements introduced by the v4 schema (the batched
-#: engine; ``vector_batches`` is deliberately not listed — no-numpy and
-#: --no-fastpath runs legitimately report 0).
+#: engine).
 REQUIRED_METRICS_V4 = {
     "tpp_exec_batched": ("tpp_execs_per_sec", "instructions_per_sec",
                          "scalar_execs_per_sec", "speedup_vs_scalar"),
@@ -81,16 +85,14 @@ REQUIRED_METRICS_V5 = {
 }
 
 #: additional requirements introduced by the v6 schema (the
-#: write-capable vector lane; ``vector_write_batches`` is deliberately
-#: not listed — no-numpy and --no-fastpath runs legitimately report 0).
+#: write-capable vector lane).
 REQUIRED_METRICS_V6 = {
     "tpp_exec_batched_write": ("tpp_execs_per_sec", "instructions_per_sec",
                                "scalar_execs_per_sec", "speedup_vs_scalar"),
 }
 
 #: additional requirements introduced by the v7 schema (sketch-update
-#: batches through the write lane; ``vector_write_batches`` is again
-#: not listed — no-numpy and --no-fastpath runs legitimately report 0).
+#: batches through the write lane).
 REQUIRED_METRICS_V7 = {
     "tpp_exec_sketch": ("tpp_execs_per_sec", "instructions_per_sec",
                         "scalar_execs_per_sec", "speedup_vs_scalar"),
@@ -104,14 +106,11 @@ PRIMARY_METRICS = {
     "tpp_exec": "tpp_execs_per_sec",
     "tpp_exec_cached": "tpp_execs_per_sec",
     "tpp_exec_verified": "tpp_execs_per_sec",
-    "tpp_exec_batched": "tpp_execs_per_sec",
-    "tpp_exec_batched_write": "tpp_execs_per_sec",
-    "tpp_exec_sketch": "tpp_execs_per_sec",
     "fleet_scale": "packets_per_sec_modeled",
 }
 
 #: a workload counts as regressed when new < (1 - tolerance) * old.
-#: One global 10% proved too blunt: the batched and full-pipeline
+#: One global 10% proved too blunt: the full-pipeline and fleet
 #: workloads have short timed regions whose best-of-3 still moves more
 #: than the long single-loop benches on a co-tenant box, so each
 #: workload carries its own measured noise floor.
@@ -123,9 +122,6 @@ WORKLOAD_TOLERANCES = {
     "tpp_exec": 0.10,
     "tpp_exec_cached": 0.10,
     "tpp_exec_verified": 0.10,
-    "tpp_exec_batched": 0.20,
-    "tpp_exec_batched_write": 0.20,
-    "tpp_exec_sketch": 0.20,
     "fleet_scale": 0.15,
 }
 
@@ -160,16 +156,16 @@ def validate(report: dict) -> list:
     if generation >= 3:
         for name, metrics in REQUIRED_METRICS_V3.items():
             required.setdefault(name, []).extend(metrics)
-    if generation >= 4:
+    if 4 <= generation < RETIRED_IN_V8:
         for name, metrics in REQUIRED_METRICS_V4.items():
             required.setdefault(name, []).extend(metrics)
     if generation >= 5:
         for name, metrics in REQUIRED_METRICS_V5.items():
             required.setdefault(name, []).extend(metrics)
-    if generation >= 6:
+    if 6 <= generation < RETIRED_IN_V8:
         for name, metrics in REQUIRED_METRICS_V6.items():
             required.setdefault(name, []).extend(metrics)
-    if generation >= 7:
+    if 7 <= generation < RETIRED_IN_V8:
         for name, metrics in REQUIRED_METRICS_V7.items():
             required.setdefault(name, []).extend(metrics)
     for name, metrics in required.items():
@@ -248,27 +244,6 @@ def _print_summary(report: dict) -> None:
               f"{verified['tpp_execs_per_sec']:>10,.0f} TPP-execs/s  "
               f"({verified['speedup_vs_unverified']:.2f}x vs unverified, "
               f"{verified['verified_executions']} guard hits)")
-    batched = wl.get("tpp_exec_batched")
-    if batched:
-        print(f"tpp exec (batched): "
-              f"{batched['tpp_execs_per_sec']:>11,.0f} TPP-execs/s  "
-              f"({batched['speedup_vs_scalar']:.2f}x vs scalar at batch "
-              f"{batched['batch_size']}, "
-              f"{batched['vector_batches']} vector batches)")
-    write = wl.get("tpp_exec_batched_write")
-    if write:
-        print(f"tpp exec (batched write): "
-              f"{write['tpp_execs_per_sec']:>5,.0f} TPP-execs/s  "
-              f"({write['speedup_vs_scalar']:.2f}x vs scalar at batch "
-              f"{write['batch_size']}, "
-              f"{write['vector_write_batches']} write batches)")
-    sketch = wl.get("tpp_exec_sketch")
-    if sketch:
-        print(f"tpp exec (sketch):  "
-              f"{sketch['tpp_execs_per_sec']:>11,.0f} TPP-execs/s  "
-              f"({sketch['speedup_vs_scalar']:.2f}x vs scalar at batch "
-              f"{sketch['batch_size']}, "
-              f"{sketch['vector_write_batches']} write batches)")
     fleet = wl.get("fleet_scale")
     if fleet:
         identical = "bit-identical" if fleet["bit_identical"] else "DIVERGED"
