@@ -21,6 +21,7 @@ from repro.endhost.client import TPPEndpoint
 from repro.endhost.flows import Flow, FlowSink
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
+from repro.sim.trace import TraceLevel
 
 RATE = 100 * units.MEGABITS_PER_SEC
 
@@ -58,6 +59,7 @@ def run_experiment():
                               record.detail["sp_or_hop"],
                               list(record.detail["memory_words"])))
 
+    net.trace.set_kind_level("tpp.exec", TraceLevel.INFO)
     net.trace.add_tap(tap)
     program = assemble("PUSH [Queue:QueueSize]", hops=3)
     results = []

@@ -387,8 +387,13 @@ class TPPSwitch(Device):
         result = self.tcam.lookup(headers, in_port)
         if result is not None:
             return result
-        result = self.l2.lookup(headers.dst_mac,
-                                flow_hash=self._flow_hash(headers))
+        # The 5-tuple hash only picks among ECMP alternates; a
+        # single-port entry (the common case) never reads it.
+        entry = self.l2.entry_for(headers.dst_mac)
+        flow_hash = (self._flow_hash(headers)
+                     if entry is not None and len(entry.out_ports) > 1
+                     else None)
+        result = self.l2.lookup(headers.dst_mac, flow_hash=flow_hash)
         if result is not None:
             return result
         return self.l3.lookup(headers.dst_ip)
@@ -454,7 +459,7 @@ class TPPSwitch(Device):
                        report: Any) -> None:
         # wants() guard: snapshotting packet memory (tpp.words()) and
         # building the kwargs dict is the expensive part — skip it all
-        # when nobody records tpp.exec.
+        # when nobody records tpp.exec (a DEBUG kind, off by default).
         if self.trace.wants("tpp.exec"):
             self.trace.emit(
                 self.sim.now_ns, self.name, "tpp.exec",

@@ -50,6 +50,8 @@ FLAG_FAULT = 0x02
 _FAULT_SHIFT = 4
 
 SUPPORTED_WORD_SIZES = (4, 8)
+#: ``struct`` code of one unsigned word, by word size.
+_WORD_CODES = {4: "I", 8: "Q"}
 
 
 def program_key_of(instructions: List[Instruction], mode: "AddressingMode",
@@ -282,9 +284,9 @@ class TPPSection:
         an 8-byte word size over memory that is not a multiple of 8, and
         observers of such packets must not crash on the ragged tail.
         """
-        usable = len(self.memory) - len(self.memory) % self.word_size
-        return [self.read_word(i)
-                for i in range(0, usable, self.word_size)]
+        count = len(self.memory) // self.word_size
+        return list(struct.unpack_from(
+            f"!{count}{_WORD_CODES[self.word_size]}", self.memory))
 
     def _check_bounds(self, byte_offset: int) -> None:
         if byte_offset < 0 or byte_offset + self.word_size > len(self.memory):

@@ -1,8 +1,11 @@
 """Structured trace recording.
 
 Devices emit :class:`TraceRecord` entries (packet enqueued, TPP executed,
-rate register written, ...) into a shared :class:`TraceRecorder`.  The
-benchmark harness and the ndb collector both consume these traces.
+rate register written, ...) into a shared :class:`TraceRecorder`.  Tests
+and debugging sessions read them back with :meth:`TraceRecorder.records`
+or watch them live with a tap.  TPP applications do not need them: each
+TPP brings its per-hop results back in its own packet memory, and the
+ndb collector reads those through ``TPPEndpoint.add_tap``.
 
 Trace levels and the hot-path guard
 -----------------------------------
@@ -19,13 +22,15 @@ listens::
 
 ``wants`` is a single cached dict lookup after the first call per kind, and
 just one attribute read when the recorder is disabled.  Per-frame firehose
-kinds (``link.deliver``, ``queue.enqueue``) default to
-:attr:`TraceLevel.DEBUG` and are therefore free unless a run opts in with
-``trace.set_level(TraceLevel.DEBUG)``.
+kinds (``link.deliver``, ``queue.enqueue``) and the per-hop ``tpp.exec``
+snapshot default to :attr:`TraceLevel.DEBUG` and are therefore free unless
+a run opts in, either to all of them with
+``trace.set_level(TraceLevel.DEBUG)`` or to one kind with
+``trace.set_kind_level("tpp.exec", TraceLevel.INFO)``.
 
 For long runs, ``max_records`` bounds memory: the recorder becomes a ring
 buffer keeping the most recent records (taps still see every record live,
-so online consumers like the ndb collector lose nothing).
+so online consumers lose nothing).
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ DEFAULT_KIND_LEVELS: Dict[str, TraceLevel] = {
     "link.lost": TraceLevel.DEBUG,
     "link.corrupt": TraceLevel.DEBUG,
     "link.dup": TraceLevel.DEBUG,
+    # One record per TPP per hop, each holding a full packet-memory
+    # snapshot.  The TPP already carries these results back to its end
+    # host, so the trace copy is opt-in debugging evidence.
+    "tpp.exec": TraceLevel.DEBUG,
     # Loss and fault evidence.
     "queue.drop": TraceLevel.WARNING,
     "switch.no_route": TraceLevel.WARNING,
@@ -85,7 +94,7 @@ class TraceRecorder:
     """Append-only in-memory trace with filtered views and live taps.
 
     A *tap* is a callback invoked synchronously on every matching record;
-    the ndb trace collector uses one to reassemble packet journeys online.
+    a test uses one to watch a run's records as they happen.
     """
 
     def __init__(self, enabled: bool = True,

@@ -88,6 +88,20 @@ class TestMemoryAccess:
         tpp.write_word(8, 3)
         assert tpp.words() == [1, 2, 3]
 
+    @pytest.mark.parametrize("word_size,memory_len", [
+        (4, 0), (4, 4), (4, 20), (8, 0), (8, 16), (8, 4), (8, 12), (8, 20),
+    ])
+    def test_words_match_read_word_walk(self, word_size, memory_len):
+        """One word per complete ``word_size`` chunk, big-endian, equal to
+        reading each word in turn; a ragged tail (8-byte words over
+        memory that is not a multiple of 8) is left out."""
+        memory = bytearray((7 * i + 0x81) & 0xFF for i in range(memory_len))
+        tpp = make_tpp(memory=memory, word_size=word_size)
+        usable = memory_len - memory_len % word_size
+        walk = [tpp.read_word(i) for i in range(0, usable, word_size)]
+        assert tpp.words() == walk
+        assert len(walk) == memory_len // word_size
+
 
 class TestFlags:
     def test_done_flag(self):

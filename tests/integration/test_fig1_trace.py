@@ -9,6 +9,7 @@ import pytest
 
 from repro import quickstart_network, units
 from repro.core.assembler import assemble
+from repro.sim.trace import TraceLevel
 
 
 @pytest.fixture
@@ -28,6 +29,7 @@ class TestFigure1:
             if record.kind == "tpp.exec" and record.detail["executed"]:
                 observed_sp.append(record.detail["sp_or_hop"])
 
+        net.trace.set_kind_level("tpp.exec", TraceLevel.INFO)
         net.trace.add_tap(tap)
         net.host("h0").tpp.send(program, dst_mac=net.host("h1").mac)
         net.run(until_seconds=0.01)
@@ -41,6 +43,7 @@ class TestFigure1:
             if record.kind == "tpp.exec":
                 sizes.add(4 * len(record.detail["memory_words"]))
 
+        net.trace.set_kind_level("tpp.exec", TraceLevel.INFO)
         net.trace.add_tap(tap)
         program = assemble("PUSH [Queue:QueueSize]", hops=8)
         net.host("h0").tpp.send(program, dst_mac=net.host("h1").mac)

@@ -6,10 +6,12 @@ from repro.sim.trace import TraceLevel, TraceRecorder
 class TestTraceRecorder:
     def test_emit_and_filter_by_kind(self):
         trace = TraceRecorder()
+        trace.set_kind_level("tpp.exec", TraceLevel.INFO)  # opt in
         trace.emit(1, "sw0", "queue.drop", port=1)
         trace.emit(2, "sw1", "tpp.exec", seq=5)
         trace.emit(3, "sw0", "tpp.exec", seq=6)
         assert len(trace.records(kind="tpp.exec")) == 2
+        assert len(trace.records(kind="queue.drop")) == 1
 
     def test_filter_by_source(self):
         trace = TraceRecorder()
@@ -65,16 +67,32 @@ class TestTraceRecorder:
 class TestTraceLevels:
     def test_debug_kinds_are_off_by_default(self):
         trace = TraceRecorder()  # default threshold: INFO
+        assert trace.kind_level("tpp.exec") == TraceLevel.DEBUG
         trace.emit(1, "sw0", "link.deliver", frame_uid=1)
         trace.emit(2, "sw0", "tpp.exec", seq=1)
-        assert [r.kind for r in trace.records()] == ["tpp.exec"]
+        trace.emit(3, "sw0", "queue.drop", port=0)
+        assert [r.kind for r in trace.records()] == ["queue.drop"]
 
     def test_wants_guards_the_hot_path(self):
         trace = TraceRecorder()
         assert not trace.wants("link.deliver")
-        assert trace.wants("tpp.exec")
+        assert not trace.wants("tpp.exec")
         assert trace.wants("queue.drop")
         assert not TraceRecorder(enabled=False).wants("queue.drop")
+
+    def test_tpp_exec_is_recorded_once_opted_in(self):
+        per_kind = TraceRecorder()
+        per_kind.set_kind_level("tpp.exec", TraceLevel.INFO)
+        everything = TraceRecorder()
+        everything.set_level(TraceLevel.DEBUG)
+        for trace in (per_kind, everything):
+            assert trace.wants("tpp.exec")
+            trace.emit(1, "sw0", "tpp.exec", seq=1, memory_words=[7])
+            assert [r.detail for r in trace.records(kind="tpp.exec")] \
+                == [{"seq": 1, "memory_words": [7]}]
+        # The per-kind opt-in leaves the other DEBUG kinds off.
+        assert not per_kind.wants("link.deliver")
+        assert everything.wants("link.deliver")
 
     def test_set_level_opens_the_firehose(self):
         trace = TraceRecorder()
